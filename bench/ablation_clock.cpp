@@ -30,9 +30,7 @@ struct Options {
 
 template <class Clock>
 void run(const char* name, const Options& o, double read_fraction) {
-  JiffyMap<std::uint64_t, std::uint64_t, std::less<std::uint64_t>,
-           std::hash<std::uint64_t>, Clock>
-      map;
+  JiffyMap<std::uint64_t, std::uint64_t, std::less<std::uint64_t>, Clock> map;
   const std::uint64_t space = o.entries * 2;
   for (std::uint64_t i = 0; i < o.entries; ++i)
     map.put(KeyCodec<std::uint64_t>::encode(2 * i, space), i);  // interleave

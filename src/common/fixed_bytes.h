@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 
 namespace jiffy {
 
@@ -50,16 +49,3 @@ using Key16 = FixedBytes<16>;
 using Value100 = FixedBytes<100>;
 
 }  // namespace jiffy
-
-// FNV-1a over the bytes; JiffyMap's default Hash parameter is std::hash<K>.
-template <std::size_t N>
-struct std::hash<jiffy::FixedBytes<N>> {
-  std::size_t operator()(const jiffy::FixedBytes<N>& b) const noexcept {
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : b.data) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};

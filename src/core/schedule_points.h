@@ -52,13 +52,15 @@ enum class Point : unsigned {
   kMergeMarker,      // kAbsorbed marker in at victim, union not yet at absorber
   kMergeStamp,       // merge union in, cell not yet stamped
   kPurgeRetire,      // purge pass about to retire an unlinked shell
+  kBatchLocate,      // batch watermark read, its group's node not yet located
   kCount
 };
 
 inline constexpr const char* kPointNames[] = {
     "plain_stamp",     "split_link",  "split_stamp",
     "batch_install",   "batch_watermark", "batch_stamp",
-    "merge_marker",    "merge_stamp", "purge_retire"};
+    "merge_marker",    "merge_stamp", "purge_retire",
+    "batch_locate"};
 
 inline constexpr unsigned kPointCount = static_cast<unsigned>(Point::kCount);
 

@@ -12,13 +12,16 @@
 //   3. the victim, once released, retires harmlessly (its remaining CASes
 //      lose to the helper's) and the final state is exactly one batch
 //      application.
-// A final scenario stalls (not blocks) the merge windows under reader load.
+// A further scenario parks a helper holding a stale watermark across the
+// batch's stamp and a newer write, and a final one stalls (not blocks) the
+// merge windows under reader load.
 //
 // Only even keys are populated: anchors are always existing keys, so key 1
 // is guaranteed to route into the node that owns batch key 0 — the first
 // group's node, which is pending the moment one group is installed. The
 // helper's no-op erase(1) therefore deterministically meets the stalled
 // batch without perturbing the checked state.
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -174,6 +177,63 @@ void merge_stall_scenario() {
   std::printf("  ok\n");
 }
 
+// A helper holding a stale watermark must not re-apply a group once the
+// batch is stamped. The owner parks right after installing its first group;
+// an unrelated writer meets that pending revision, enters run_batch, reads
+// the watermark (still at the first group) and parks before locate(). The
+// owner then finishes and stamps the batch and overwrites the first group's
+// key. Released, the helper must see the stamp and leave the overwrite be.
+void stale_watermark_scenario() {
+  std::printf("scenario: helper parked at batch_locate across the stamp\n");
+  constexpr std::uint64_t kOverwrite = 7;
+  Map map(small_nodes());
+  populate(map);
+
+  // Two plans, installed in turn: the owner parks on the first, and the
+  // helper, which only starts once the owner is parked, on the second.
+  FaultPlan owner_plan;
+  owner_plan.block_at(Point::kBatchWatermark, 1);
+  FaultPlan::install(&owner_plan);
+  std::atomic<bool> overwritten{false};
+  std::atomic<bool> helper_done{false};
+  std::thread owner([&] {
+    jiffy::Batch<std::uint64_t, std::uint64_t> b;
+    for (std::uint64_t k = 0; k < kSpace; k += kBatchStride)
+      b.put(k, kNewBase + k);
+    map.apply(std::move(b));
+    CHECK(!map.put(0, kOverwrite));
+    overwritten.store(true);
+    while (!helper_done.load()) std::this_thread::yield();
+    CHECK_EQ(map.get(0).value(), kOverwrite);
+  });
+  for (int i = 0; owner_plan.blocked() == 0 && i < 40000; ++i)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  CHECK_EQ(owner_plan.blocked(), 1u);
+
+  FaultPlan helper_plan;
+  helper_plan.block_at(Point::kBatchLocate, 1);
+  FaultPlan::install(&helper_plan);
+  std::thread helper([&map] { CHECK(!map.erase(1)); });
+  for (int i = 0; helper_plan.blocked() == 0 && i < 40000; ++i)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  CHECK_EQ(helper_plan.blocked(), 1u);
+
+  owner_plan.release_all();
+  while (!overwritten.load()) std::this_thread::yield();
+  helper_plan.release_all();
+  helper.join();
+  helper_done.store(true);
+  owner.join();
+  FaultPlan::uninstall();
+
+  for (std::uint64_t k = 2; k < kSpace; k += 2) {
+    const std::uint64_t want = k % kBatchStride == 0 ? kNewBase + k : 1;
+    CHECK_EQ(map.get(k).value(), want);
+  }
+  CHECK_EQ(map.size_slow(), kSpace / 2);
+  std::printf("  ok (stale helper saw the stamp)\n");
+}
+
 }  // namespace
 
 int main() {
@@ -189,6 +249,7 @@ int main() {
   // Everything installed, final stamp missing.
   scenario(Point::kBatchStamp, 1);
 
+  stale_watermark_scenario();
   merge_stall_scenario();
 
   std::printf("test_batch_replay OK\n");

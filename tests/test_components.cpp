@@ -1,7 +1,8 @@
 // Unit checks for the supporting subsystems: clocks, RNG + distributions,
-// key/value codecs, FixedBytes ordering, revision builder + hash index,
+// key/value codecs, FixedBytes ordering, revision builder + binary search,
 // the thread-local block cache, EBR, and the CSLM + LockedMap baselines
 // (sequential and a short 4-thread shake for the CSLM).
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -104,34 +105,35 @@ void test_revision_builder() {
   using Bld = RevisionBuilder<std::uint64_t, std::uint64_t>;
   const std::less<std::uint64_t> lt;
 
-  for (std::uint32_t n : {1u, 7u, 25u, 300u, 1000u}) {
+  // Binary search is the only lookup: check lower_bound_pos and find_binary
+  // against std::lower_bound at every size from empty to past the
+  // autoscaler's largest target, so both the prefetching halving loop
+  // (n > 8) and the linear tail are covered. Keys are 3, 6, ..., 3n: every
+  // hit, every gap between entries, and the misses below and above.
+  for (std::uint32_t n = 0; n <= 300; ++n) {
     Bld b(RevKind::kPlain, n, /*version=*/1);
-    for (std::uint32_t i = 0; i < n; ++i) b.emit(i * 3, i + 1);
+    std::vector<std::uint64_t> keys;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      keys.push_back(std::uint64_t{i + 1} * 3);
+      b.emit(keys.back(), i + 1);
+    }
     Rev* r = b.finish();
     CHECK_EQ(r->entries().size(), std::size_t{n});
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const auto key = std::uint64_t{i} * 3;
-      const auto h = fold_hash16(std::hash<std::uint64_t>{}(key));
-      const auto* e1 = r->find(key, h, lt);
-      const auto* e2 = r->find_binary(key, lt);
-      CHECK(e1 && e2);
-      CHECK_EQ(e1->second, i + 1);
-      CHECK_EQ(e2->second, i + 1);
-      // Misses agree too (keys = multiples of 3; probe the gaps).
-      const auto miss = key + 1;
-      CHECK(!r->find(miss, fold_hash16(std::hash<std::uint64_t>{}(miss)), lt));
-      CHECK(!r->find_binary(miss, lt));
+    for (std::uint64_t probe = 0; probe <= std::uint64_t{n} * 3 + 4; ++probe) {
+      const auto want = std::lower_bound(keys.begin(), keys.end(), probe);
+      const auto* pos = r->lower_bound_pos(probe, lt);
+      CHECK_EQ(pos - r->begin(), want - keys.begin());
+      const auto* hit = r->find_binary(probe, lt);
+      if (want != keys.end() && *want == probe) {
+        CHECK(hit == pos);
+        CHECK_EQ(hit->second,
+                 static_cast<std::uint64_t>(want - keys.begin()) + 1);
+      } else {
+        CHECK(hit == nullptr);
+      }
     }
     Rev::unref(r, /*immediate=*/true);
   }
-
-  // hash_index=false builds no table and still finds everything.
-  Bld b(RevKind::kPlain, 10, 1, /*hash_index=*/false);
-  for (std::uint32_t i = 0; i < 10; ++i) b.emit(i, i);
-  Rev* r = b.finish();
-  CHECK(r->hmask == 0);
-  CHECK(r->find(5, fold_hash16(std::hash<std::uint64_t>{}(5)), lt));
-  Rev::unref(r, true);
 }
 
 void test_block_cache() {

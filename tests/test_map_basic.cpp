@@ -1,6 +1,6 @@
 // Single-threaded JiffyMap semantics: put/get/erase, overwrite, ordering,
-// scan bounds, splits (tiny fixed revision sizes), hash index on/off, both
-// kv shapes, and snapshot reads at a quiescent point.
+// scan bounds, splits (tiny fixed revision sizes), large revisions, both kv
+// shapes, and snapshot reads at a quiescent point.
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -14,11 +14,10 @@ using namespace jiffy;
 
 namespace {
 
-JiffyConfig cfg_fixed(std::uint32_t size, bool hash) {
+JiffyConfig cfg_fixed(std::uint32_t size) {
   JiffyConfig c;
   c.autoscaler.enabled = false;
   c.autoscaler.fixed_size = size;
-  c.hash_index = hash;
   return c;
 }
 
@@ -97,7 +96,7 @@ void test_crud(const JiffyConfig& cfg) {
 }
 
 void test_fixed_bytes_shape() {
-  JiffyMap<Key16, Value100> m(cfg_fixed(32, true));
+  JiffyMap<Key16, Value100> m(cfg_fixed(32));
   const std::uint64_t space = 4'000;
   for (std::uint64_t i = 0; i < 2'000; ++i)
     m.put(KeyCodec<Key16>::encode(i, space), ValueCodec<Value100>::make(i, 7));
@@ -138,10 +137,10 @@ void test_autoscaler_modes() {
 }  // namespace
 
 int main() {
-  test_crud(cfg_fixed(4, true));     // tiny revisions: exercise splits hard
-  test_crud(cfg_fixed(25, false));   // binary-search-only path
-  test_crud(cfg_fixed(300, true));   // big revisions: hash path
-  test_crud(JiffyConfig{});          // autoscaler defaults
+  test_crud(cfg_fixed(4));      // tiny revisions: exercise splits hard
+  test_crud(cfg_fixed(25));
+  test_crud(cfg_fixed(300));    // big revisions: long binary searches
+  test_crud(JiffyConfig{});     // autoscaler defaults
   test_fixed_bytes_shape();
   test_autoscaler_modes();
   std::puts("test_map_basic OK");

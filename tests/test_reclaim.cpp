@@ -1,8 +1,12 @@
 // Snapshot-watermark reclamation: the oldest-active-version ticket registry,
 // the cooperative purge pass (collect / sweep / drain / retire), eligibility
-// gating by live snapshots, and bounded tombstone growth with auto-purge on.
+// gating by live snapshots, bounded tombstone growth with auto-purge on, and
+// snapshot seeks among linked tombstones.
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -155,6 +159,75 @@ void auto_purge_bounds_growth() {
   std::printf("auto-purge bound ok\n");
 }
 
+// Cursor seeks among hundreds of linked tombstones (auto-purge off, so
+// every merge victim stays linked), at four snapshot versions: forward and
+// reverse seeks, and a few steps from each landing, must match a std::map
+// copy of each snapshot's state. The resplits between the versions link
+// parts in front of older tombstones with larger anchors, so the level-0
+// walks cannot stop at the first larger anchor (DESIGN.md §1).
+void seeks_past_linked_tombstones() {
+  Map map(manual_cfg());
+  constexpr std::uint64_t kN = 4000;
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  std::vector<std::unique_ptr<Map::SnapshotT>> snaps;
+  std::vector<std::map<std::uint64_t, std::uint64_t>> states;
+  auto pin = [&] {
+    snaps.push_back(std::make_unique<Map::SnapshotT>(&map));
+    states.push_back(oracle);
+  };
+  auto put = [&](std::uint64_t k, std::uint64_t v) {
+    map.put(k, v);
+    oracle[k] = v;
+  };
+  auto erase = [&](std::uint64_t k) {
+    map.erase(k);
+    oracle.erase(k);
+  };
+  for (std::uint64_t k = 0; k < kN; k += 2) put(k, k);
+  pin();
+  for (std::uint64_t k = 0; k < kN; k += 2)
+    if (k % 16 != 0) erase(k);  // shrink nodes: merges leave tombstones
+  pin();
+  for (std::uint64_t k = 0; k < kN; k += 2)
+    if (k % 16 != 0) put(k, k + 1);
+  pin();
+  for (std::uint64_t k = 0; k < kN; k += 2)
+    if (k % 6 != 0) erase(k);
+  pin();
+
+  const std::size_t tombstones = map.debug_stats().tombstone_count;
+  std::printf("linked tombstones: %zu\n", tombstones);
+  CHECK(tombstones >= 200);
+
+  for (std::size_t s = 0; s < snaps.size(); ++s) {
+    const Map::SnapshotT& snap = *snaps[s];
+    const auto& want = states[s];
+    for (std::uint64_t k = 0; k <= kN; ++k) {
+      // Land, then step a few entries each way from the landing.
+      auto f = snap.seek(k);
+      auto fit = want.lower_bound(k);
+      for (int step = 0; step < 4 && fit != want.end(); ++step, ++fit) {
+        CHECK(f.valid());
+        CHECK_EQ(f.key(), fit->first);
+        CHECK_EQ(f.value(), fit->second);
+        f.next();
+      }
+      if (fit == want.end()) CHECK(!f.valid());
+
+      auto r = snap.seek_for_prev(k);
+      auto rit = std::make_reverse_iterator(want.upper_bound(k));
+      for (int step = 0; step < 4 && rit != want.rend(); ++step, ++rit) {
+        CHECK(r.valid());
+        CHECK_EQ(r.key(), rit->first);
+        CHECK_EQ(r.value(), rit->second);
+        r.prev();
+      }
+      if (rit == want.rend()) CHECK(!r.valid());
+    }
+  }
+  std::printf("seeks past linked tombstones ok\n");
+}
+
 }  // namespace
 
 int main() {
@@ -162,6 +235,7 @@ int main() {
   manual_purge_progression();
   snapshot_blocks_reclamation();
   auto_purge_bounds_growth();
+  seeks_past_linked_tombstones();
   std::printf("test_reclaim OK\n");
   return 0;
 }

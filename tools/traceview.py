@@ -35,7 +35,7 @@ RETIRE_TAGS = {1: "rev_unref", 2: "rev_unref_immediate", 3: "purge_shell"}
 POINT_NAMES = [
     "plain_stamp", "split_link", "split_stamp",
     "batch_install", "batch_watermark", "batch_stamp",
-    "merge_marker", "merge_stamp", "purge_retire",
+    "merge_marker", "merge_stamp", "purge_retire", "batch_locate",
 ]
 
 
