@@ -59,6 +59,7 @@
 #include <optional>
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -149,9 +150,11 @@ template <class K, class V>
 struct JiffyNode;
 
 // An immutable sorted entry array; the unit of update and of multiversioned
-// reads. Published by a CAS on JiffyNode::rev and reclaimed through EBR once
-// unref'd (`link_refs` counts head pointers, not `prev` edges: a `prev` edge
-// may dangle after reclamation, but the version rule keeps readers off it).
+// reads. Published by a CAS on JiffyNode::rev and retired through EBR (unref)
+// by the thread whose CAS swung that head pointer away from it: a node's rev
+// is the only pointer that keeps a revision alive. `prev` edges are not
+// counted — one may dangle after reclamation, but the version rule keeps
+// readers off it.
 //
 // Entries live *inline*, directly after the struct in the same allocation
 // (one less indirection per read): allocate() sizes the block, the builder
@@ -166,9 +169,8 @@ struct Revision {
   VersionCell* cell = nullptr;       // shared version (splits/batches/merges)
   Revision* prev = nullptr;          // the revision this one replaced
   JiffyNode<K, V>* sibling = nullptr;    // split: first new right-hand node
-  JiffyNode<K, V>* link_expect = nullptr;  // split: next[0] value to CAS from
+  JiffyNode<K, V>* link_expect = nullptr;  // split: next(0) value to CAS from
   JiffyNode<K, V>* home = nullptr;   // kAbsorbed: the node that absorbed us
-  std::atomic<std::uint32_t> link_refs{1};
   std::uint32_t count = 0;           // constructed entries in the inline array
   std::uint32_t cap = 0;             // inline array capacity (allocation size)
   std::uint32_t alloc_bytes = 0;  // block size allocate() drew, for dispose()
@@ -300,19 +302,19 @@ struct Revision {
   template <class Less>  // frozen-benchmark shim, defined below
   const Entry* find(const K& k, std::uint16_t tag, const Less& less) const;
 
+  // Drop the revision's one reference: retire it through EBR, or dispose
+  // of it at once when no reader can reach it (`immediate`: an install
+  // loser that was never published, or single-threaded teardown).
   static void unref(Revision* r, bool immediate = false) {
-    if (r->link_refs.fetch_sub(1, std::memory_order_acq_rel) ==  // pairs: rev-refs
-        1) {
-      if (immediate) {
-        obs::trace_retire(r, r->alloc_bytes, obs::RetireTag::kRevUnrefImmediate);
-        dispose(r);
-      } else {
-        obs::trace_retire(r, r->alloc_bytes, obs::RetireTag::kRevUnref);
-        ebr::retire_fn(r, [](void* q) {  // unlink: rev-unref
-          dispose(static_cast<Revision*>(q));
-        });
-      }
+    if (immediate) {
+      obs::trace_retire(r, r->alloc_bytes, obs::RetireTag::kRevUnrefImmediate);
+      dispose(r);
+      return;
     }
+    obs::trace_retire(r, r->alloc_bytes, obs::RetireTag::kRevUnref);
+    ebr::retire_fn(r, [](void* q) {  // unlink: rev-unref
+      dispose(static_cast<Revision*>(q));
+    });
   }
 };
 
@@ -377,9 +379,17 @@ class RevisionBuilder {
   Rev* rev_;
 };
 
-// A fat node: a key range plus the head of its revision chain. `next[0]` is
+// A fat node: a key range plus the head of its revision chain. `next(0)` is
 // the bottom-level list; higher next slots form the search tower. Nodes are
 // never removed, so towers need no marks.
+//
+// The tower lives *inline*, directly after the header in the same block
+// (the layout Revision uses for its entries): a descent hop computes the
+// slot's address from the node pointer and reads the anchor and the slot
+// from one line, or two adjacent ones, instead of loading a pointer and
+// chasing it into a second heap block. create() sizes the block for
+// `height` slots, and the class-scope operator delete keeps plain `delete`
+// (and EBR's deleter) freeing the whole block.
 //
 // `back` makes the bottom level doubly linked (paper §3.1) for reverse
 // cursors: a best-effort hint that always points to a *strict list
@@ -392,30 +402,67 @@ class RevisionBuilder {
 // pred_at() re-validates with a forward walk and tightens it.
 template <class K, class V>
 struct JiffyNode {
+  using Link = std::atomic<JiffyNode*>;
   static constexpr int kMaxHeight = 20;
 
   const int height;
   const bool is_head;
+  // Set (once, never cleared) by the purge pass on a dead tombstone it is
+  // about to unlink: writers that could otherwise re-publish a link to the
+  // node check it first (install_split, pred_at). See DESIGN.md §9.
+  std::atomic<bool> condemned{false};
   const K anchor;
-  std::atomic<std::uint64_t> birth{kPendingVersion};
   std::atomic<Revision<K, V>*> rev{nullptr};
   std::atomic<JiffyNode*> back{nullptr};
+  std::atomic<std::uint64_t> birth{kPendingVersion};
   // Link-structure generation observed when `back` was last validated: a
   // slow-path pred_at stamps the pre-walk generation after tightening the
   // hint, so a later reverse scan that sees back_gen == map.gen_ may try the
   // hint directly. The stamp is a staleness filter only — `back` and
   // `back_gen` are separate atomics racing writers can cross-pair, so the
-  // fast path still self-validates the hint (next[0] == this && held_at)
+  // fast path still self-validates the hint (next(0) == this && held_at)
   // before trusting it. See DESIGN.md §14.
   std::atomic<std::uint64_t> back_gen{0};
-  // Set (once, never cleared) by the purge pass on a dead tombstone it is
-  // about to unlink: writers that could otherwise re-publish a link to the
-  // node check it first (install_split, pred_at). See DESIGN.md §9.
-  std::atomic<bool> condemned{false};
-  std::vector<std::atomic<JiffyNode*>> next;
+
+  static constexpr std::size_t tower_offset() {
+    return (sizeof(JiffyNode) + alignof(Link) - 1) / alignof(Link) *
+           alignof(Link);
+  }
+
+  static constexpr std::size_t block_bytes(int h) {
+    return tower_offset() + static_cast<std::size_t>(h) * sizeof(Link);
+  }
+
+  // Tower slot l, 0 <= l < height.
+  Link& next(int l) {
+    assert(l >= 0 && l < height);
+    return tower()[l];
+  }
+
+  // A node of `h` tower slots, every slot null.
+  static JiffyNode* create(int h, bool head, K a) {
+    static_assert(alignof(JiffyNode) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                  "over-aligned key types need an aligned allocator");
+    static_assert(std::is_trivially_destructible_v<Link>,
+                  "~JiffyNode does not destroy the tower slots");
+    static_assert(std::is_nothrow_move_constructible_v<K>,
+                  "create() would leak the block if the anchor's move threw");
+    auto* n = ::new (::operator new(block_bytes(h)))
+        JiffyNode(h, head, std::move(a));
+    for (int l = 0; l < h; ++l) ::new (n->tower() + l) Link(nullptr);
+    return n;
+  }
+
+  static void operator delete(void* p) { ::operator delete(p); }
+
+ private:
+  Link* tower() {
+    return reinterpret_cast<Link*>(reinterpret_cast<unsigned char*>(this) +
+                                   tower_offset());
+  }
 
   JiffyNode(int h, bool head, K a)
-      : height(h), is_head(head), anchor(std::move(a)), next(h) {}
+      : height(h), is_head(head), anchor(std::move(a)) {}
 };
 
 struct JiffyConfig {
@@ -594,7 +641,7 @@ class JiffyMap {
     // fresh node's zero-initialized back_gen can never match the live
     // generation before a slow-path pred_at has actually validated its hint.
     gen_.store(1, std::memory_order_relaxed);
-    head_ = new Node(Node::kMaxHeight, /*head=*/true, K{});
+    head_ = Node::create(Node::kMaxHeight, /*head=*/true, K{});
     Builder b(RevKind::kPlain, 0, /*version=*/0);
     head_->rev.store(b.finish(), std::memory_order_release);  // pairs: rev-install
     head_->birth.store(0, std::memory_order_release);  // pairs: birth-stamp
@@ -619,7 +666,7 @@ class JiffyMap {
       // relaxed: single-threaded teardown; no concurrent access remains.
       Rev* r = x->rev.load(std::memory_order_relaxed);
       // relaxed: single-threaded teardown; no concurrent access remains.
-      Node* nxt = x->next[0].load(std::memory_order_relaxed);
+      Node* nxt = x->next(0).load(std::memory_order_relaxed);
       Rev::unref(r, /*immediate=*/true);
       delete x;
       x = nxt;
@@ -956,29 +1003,29 @@ class JiffyMap {
 
   // ---- location -----------------------------------------------------------
 
-  // Complete a pending split link: swing x->next[0] from the pre-split
+  // Complete a pending split link: swing x->next(0) from the pre-split
   // successor to the first new sibling (the chain of new nodes was
   // pre-linked). Fast path: exactly-once CAS from the recorded expected
   // value. That CAS can now fail forever without the link being done — the
-  // purge pass unlinks condemned tombstones from level 0, moving next[0]
+  // purge pass unlinks condemned tombstones from level 0, moving next(0)
   // out from under the recorded expect — so fall back to forcing the link
   // from whatever the current value is, gated on r still heading x: while
-  // it does, the only other writers of x->next[0] are helpers of this same
+  // it does, the only other writers of x->next(0) are helpers of this same
   // link and tombstone unlinking (both compose with this loop), and once r
   // is superseded the link is guaranteed complete, because every install
   // path runs ensure_link to success (via locate) before building on r.
   void ensure_link(Node* x, Rev* r, [[maybe_unused]] const ebr::Guard& g)
       const JIFFY_REQUIRES_GUARD(g) {
     Node* expect = r->link_expect;
-    if (x->next[0].compare_exchange_strong(
+    if (x->next(0).compare_exchange_strong(
             expect, r->sibling, std::memory_order_seq_cst))  // pairs: next-link
       return;
     for (;;) {
-      Node* e = x->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+      Node* e = x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
       if (e == r->sibling) return;  // linked (by us or a helper)
       if (x->rev.load(std::memory_order_seq_cst) != r)  // pairs: rev-install
         return;
-      if (x->next[0].compare_exchange_strong(
+      if (x->next(0).compare_exchange_strong(
               e, r->sibling, std::memory_order_seq_cst))  // pairs: next-link
         return;
     }
@@ -994,16 +1041,16 @@ class JiffyMap {
       Node* x = head_;
       for (int l = Node::kMaxHeight - 1; l >= 1; --l) {
         for (Node* nxt =
-                 x->next[l].load(std::memory_order_acquire);  // pairs: next-link
+                 x->next(l).load(std::memory_order_acquire);  // pairs: next-link
              nxt && !less_(k, nxt->anchor);
-             nxt = x->next[l].load(std::memory_order_acquire))  // pairs: next-link
+             nxt = x->next(l).load(std::memory_order_acquire))  // pairs: next-link
           x = nxt;
         // Foresight (DESIGN.md §14): the next hop reads the same tower slot
         // one level down — warm its target's header while this level's loop
         // bookkeeping retires, hiding the dependent miss of the descent.
         // relaxed: the pointer feeds prefetch_ro only and is never
         // dereferenced; the traversal reload above carries the acquire edge.
-        prefetch_ro(x->next[l - 1].load(std::memory_order_relaxed));
+        prefetch_ro(x->next(l - 1).load(std::memory_order_relaxed));
       }
       // A node counts as dead only once its marker is STAMPED (merge
       // committed). A pending marker may still be rolled back, so its node
@@ -1023,14 +1070,14 @@ class JiffyMap {
       if (r->sibling) ensure_link(x, r, g);
       Node* live = x;
       for (Node* cur =
-               live->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+               live->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
            cur && !less_(k, cur->anchor);
-           cur = cur->next[0].load(std::memory_order_seq_cst)) {  // pairs: next-link
+           cur = cur->next(0).load(std::memory_order_seq_cst)) {  // pairs: next-link
         // Foresight: overlap the next node's header miss with this node's
         // revision inspection (the revision pointer chase below).
         // relaxed: prefetch address only, never dereferenced here; the loop
         // re-reads the slot with its paired seq_cst load before following.
-        prefetch_ro(cur->next[0].load(std::memory_order_relaxed));
+        prefetch_ro(cur->next(0).load(std::memory_order_relaxed));
         Rev* rc = cur->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
         if (rc->sibling) ensure_link(cur, rc, g);
         if (!dead(rc)) live = cur;
@@ -1042,7 +1089,7 @@ class JiffyMap {
       if (now->sibling) {
         ensure_link(live, now, g);
         Node* nxt =
-            live->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+            live->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
         if (nxt && !less_(k, nxt->anchor)) continue;  // sibling owns k
       }
       // Warm the inline entry array (begin() is pointer arithmetic off the
@@ -1062,12 +1109,12 @@ class JiffyMap {
     Node* x = head_;
     for (int l = Node::kMaxHeight - 1; l >= 0; --l) {
       for (Node* nxt =
-               x->next[l].load(std::memory_order_acquire);  // pairs: next-link
+               x->next(l).load(std::memory_order_acquire);  // pairs: next-link
            nxt && !less_(k, nxt->anchor);
-           nxt = x->next[l].load(std::memory_order_acquire))  // pairs: next-link
+           nxt = x->next(l).load(std::memory_order_acquire))  // pairs: next-link
         x = nxt;
     }
-    return x->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+    return x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
   }
 
   // Level-0 walk over every node (tombstones included) for the introspection
@@ -1096,7 +1143,7 @@ class JiffyMap {
         if (r->sibling) ensure_link(x, r, g);
         visit(x, r);
         Node* nxt =
-            x->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+            x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
         if (++seen >= kChunkNodes && nxt && less_(x->anchor, nxt->anchor)) {
           resume = x->anchor;  // key copy: nothing guarded escapes the region
           break;
@@ -1220,8 +1267,8 @@ class JiffyMap {
         }
         if (r->kind == RevKind::kAbsorbed) continue;  // died: re-route
       }
-      Node* nxt = x->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
-      // The group [i, j) is every op routed to x's range. next[0] is stable
+      Node* nxt = x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
+      // The group [i, j) is every op routed to x's range. next(0) is stable
       // while x is headed by a pending revision (splits need a stamped
       // head, merges skip pending ones), so concurrent installers compute
       // the same boundary for the group they race on.
@@ -1341,7 +1388,7 @@ class JiffyMap {
     const std::uint32_t rem = total % nparts;
 
     auto* cell = new VersionCell;  // helpable: one CAS publishes everything
-    Node* old_next = x->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+    Node* old_next = x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
     // Never record a condemned tombstone as the link target: the purge pass
     // is about to unlink it, so help it out first and re-read. (A condemn
     // landing after this check is caught by the pass's post-drain re-sweep;
@@ -1349,10 +1396,10 @@ class JiffyMap {
     while (old_next &&
            old_next->condemned.load(std::memory_order_seq_cst)) {  // pairs: condemn-flag
       Node* nn =
-          old_next->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
-      x->next[0].compare_exchange_strong(
+          old_next->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
+      x->next(0).compare_exchange_strong(
           old_next, nn, std::memory_order_seq_cst);  // pairs: next-link
-      old_next = x->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+      old_next = x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
     }
 
     std::vector<std::pair<std::uint32_t, std::uint32_t>> parts;  // [lo, hi)
@@ -1389,11 +1436,12 @@ class JiffyMap {
       rp->cell = cell;
       // relaxed: pre-publication refcount bump; the install CAS publishes.
       cell->refs.fetch_add(1, std::memory_order_relaxed);
-      auto* m = new Node(random_height(), /*head=*/false, merged[plo].first);
+      Node* m =
+          Node::create(random_height(), /*head=*/false, merged[plo].first);
       // relaxed: the node is thread-private until the install CAS.
       m->rev.store(rp, std::memory_order_relaxed);
       // relaxed: the node is thread-private until the install CAS.
-      m->next[0].store(chain, std::memory_order_relaxed);
+      m->next(0).store(chain, std::memory_order_relaxed);
       chain = m;
       new_nodes.push_back(m);
     }
@@ -1475,7 +1523,7 @@ class JiffyMap {
     if (rx->kind == RevKind::kAbsorbed || rx->sibling ||
         rx->version_now() == kPendingVersion)
       return;
-    Node* s = x->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+    Node* s = x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
     if (!s) return;
     Rev* rs = s->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
     if (rs->kind == RevKind::kAbsorbed ||
@@ -1583,8 +1631,8 @@ class JiffyMap {
       JIFFY_REQUIRES_GUARD(g) {
     std::vector<std::pair<Node*, std::uint64_t>> cand;  // (shell, death v)
     for (Node* x =
-             head_->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
-         x; x = x->next[0].load(std::memory_order_seq_cst)) {  // pairs: next-link
+             head_->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
+         x; x = x->next(0).load(std::memory_order_seq_cst)) {  // pairs: next-link
       Rev* r = x->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
       if (r->kind != RevKind::kAbsorbed) continue;
       const std::uint64_t dv = r->version_now();
@@ -1626,23 +1674,23 @@ class JiffyMap {
       // Splice condemned nodes (chains of them, one CAS each) out of every
       // tower slot.
       for (int l = 1; l < p->height; ++l) {
-        for (Node* t = p->next[l].load(
+        for (Node* t = p->next(l).load(
                  std::memory_order_seq_cst);  // pairs: next-link
              t && t->condemned.load(std::memory_order_seq_cst);  // pairs: condemn-flag
-             t = p->next[l].load(std::memory_order_seq_cst)) {  // pairs: next-link
+             t = p->next(l).load(std::memory_order_seq_cst)) {  // pairs: next-link
           Node* after =
-              t->next[l].load(std::memory_order_seq_cst);  // pairs: next-link
-          if (p->next[l].compare_exchange_strong(
+              t->next(l).load(std::memory_order_seq_cst);  // pairs: next-link
+          if (p->next(l).compare_exchange_strong(
                   t, after, std::memory_order_seq_cst))  // pairs: next-link
             ++fixes;
         }
       }
-      Node* c = p->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+      Node* c = p->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
       if (!c) break;
       if (c->condemned.load(std::memory_order_seq_cst)) {  // pairs: condemn-flag
         Node* after =
-            c->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
-        if (p->next[0].compare_exchange_strong(
+            c->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
+        if (p->next(0).compare_exchange_strong(
                 c, after, std::memory_order_seq_cst))  // pairs: next-link
           ++fixes;
         continue;  // re-examine p's (possibly new) successor
@@ -1667,7 +1715,8 @@ class JiffyMap {
     const std::size_t n = purge_pending_.size();
     for (Node* x : purge_pending_) {
       sched::point(sched::Point::kPurgeRetire);
-      obs::trace_retire(x, sizeof(Node), obs::RetireTag::kPurgeShell);
+      obs::trace_retire(x, Node::block_bytes(x->height),
+                        obs::RetireTag::kPurgeShell);
       ebr::retire_fn(x, &delete_dead_node);  // unlink: purge-shell
     }
     purge_pending_.clear();
@@ -1680,9 +1729,9 @@ class JiffyMap {
   }
 
   // EBR deleter for a retired shell. Its head revision is the stamped
-  // kAbsorbed marker and holds the only remaining head reference; the
-  // marker's prev edge may dangle by now (prev edges are not counted, see
-  // Revision), and its destructor releases the shared cell reference.
+  // kAbsorbed marker, which nothing else references; the marker's prev edge
+  // may dangle by now (prev edges are not counted, see Revision), and its
+  // destructor releases the shared cell reference.
   static void delete_dead_node(void* p) {
     auto* n = static_cast<Node*>(p);
     // relaxed: the shell is unreachable (post-drain) — no concurrent writer
@@ -1805,23 +1854,23 @@ class JiffyMap {
     Node* x = head_;
     for (int l = Node::kMaxHeight - 1; l >= 1; --l) {
       for (Node* cur =
-               x->next[l].load(std::memory_order_acquire);  // pairs: next-link
+               x->next(l).load(std::memory_order_acquire);  // pairs: next-link
            cur && !less_(from, cur->anchor);
-           cur = cur->next[l].load(std::memory_order_acquire)) {  // pairs: next-link
+           cur = cur->next(l).load(std::memory_order_acquire)) {  // pairs: next-link
         if (held_at(cur, v, g, tk)) x = cur;
       }
       // Foresight: warm the next hop one level down (see locate()).
       // relaxed: prefetch address only, never dereferenced; the traversal
       // reload above carries the acquire edge.
-      prefetch_ro(x->next[l - 1].load(std::memory_order_relaxed));
+      prefetch_ro(x->next(l - 1).load(std::memory_order_relaxed));
     }
     // Level 0: nodes that held their ranges at v are in anchor order, but a
     // node v cannot see may sit in front of one with a larger anchor (a
     // part split off after v, linked ahead of a tombstone that was live at
     // v), so only a held node past `from` ends the walk.
     Node* best = x;
-    for (Node* cur = x->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
-         cur; cur = cur->next[0].load(std::memory_order_seq_cst)) {  // pairs: next-link
+    for (Node* cur = x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
+         cur; cur = cur->next(0).load(std::memory_order_seq_cst)) {  // pairs: next-link
       if (!held_at(cur, v, g, tk)) continue;
       if (less_(from, cur->anchor)) break;
       best = cur;
@@ -1843,7 +1892,7 @@ class JiffyMap {
       // revision-chain walk and entry emission.
       // relaxed: prefetch address only, never dereferenced; the loop's
       // paired seq_cst reload below is what the traversal follows.
-      prefetch_ro(x->next[0].load(std::memory_order_relaxed));
+      prefetch_ro(x->next(0).load(std::memory_order_relaxed));
       Rev* head = x->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
       if (head->sibling) ensure_link(x, head, g);
       if (Rev* r = visible_rev(head, v, g, tk)) {
@@ -1855,7 +1904,7 @@ class JiffyMap {
           ++emitted;
         }
       }
-      x = x->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+      x = x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
     }
     return emitted;
   }
@@ -1937,7 +1986,7 @@ class JiffyMap {
     // the chain. The stamp alone is NOT trusted — back and back_gen are
     // separate atomics that racing slow paths can cross-pair — so the hint
     // is re-validated in place: it must still be x's immediate list
-    // predecessor (next[0] == x) and must hold its range at v. That pair of
+    // predecessor (next(0) == x) and must hold its range at v. That pair of
     // checks is point-in-time sound on its own (v was pinned before this
     // call: a node linked later is born after v, and an unlinked node is a
     // condemned tombstone already dead at v), which is what makes the
@@ -1945,7 +1994,7 @@ class JiffyMap {
     // re-validation walk is skipped.
     if (hint &&
         x->back_gen.load(std::memory_order_acquire) == gen &&  // pairs: back-gen
-        hint->next[0].load(std::memory_order_seq_cst) == x &&  // pairs: next-link
+        hint->next(0).load(std::memory_order_seq_cst) == x &&  // pairs: next-link
         (hint == head_ || held_at(hint, v, g, tk)))
       return hint;
     Node* p = hint ? hint : head_;
@@ -1959,9 +2008,9 @@ class JiffyMap {
     // so the walk meets x; rightmost()'s tail, the one x that may not have
     // held v, ends the list anyway.
     Node* best = p;  // the head held every version; p held v by the loop
-    for (Node* cur = p->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+    for (Node* cur = p->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
          cur && cur != x;
-         cur = cur->next[0].load(std::memory_order_seq_cst)) {  // pairs: next-link
+         cur = cur->next(0).load(std::memory_order_seq_cst)) {  // pairs: next-link
       if (held_at(cur, v, g, tk)) best = cur;
     }
     // Tighten the hint — but never to a condemned node: the purge pass
@@ -1977,7 +2026,7 @@ class JiffyMap {
     if (!best->condemned.load(std::memory_order_seq_cst)) {  // pairs: condemn-flag
       if (best != hint)
         x->back.store(best, std::memory_order_release);  // pairs: back-hint
-      if (best->next[0].load(std::memory_order_seq_cst) == x)  // pairs: next-link
+      if (best->next(0).load(std::memory_order_seq_cst) == x)  // pairs: next-link
         x->back_gen.store(gen, std::memory_order_release);  // pairs: back-gen
     }
     return best;
@@ -1989,14 +2038,14 @@ class JiffyMap {
     Node* x = head_;
     for (int l = Node::kMaxHeight - 1; l >= 1; --l)
       for (Node* nxt =
-               x->next[l].load(std::memory_order_acquire);  // pairs: next-link
+               x->next(l).load(std::memory_order_acquire);  // pairs: next-link
            nxt;
-           nxt = x->next[l].load(std::memory_order_acquire))  // pairs: next-link
+           nxt = x->next(l).load(std::memory_order_acquire))  // pairs: next-link
         x = nxt;
     for (;;) {
       Rev* r = x->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
       if (r->sibling) ensure_link(x, r, g);
-      Node* nxt = x->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+      Node* nxt = x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
       if (!nxt) return x;
       x = nxt;
     }
@@ -2034,18 +2083,18 @@ class JiffyMap {
         Node* pred = head_;
         for (int dl = Node::kMaxHeight - 1; dl >= l; --dl) {
           for (Node* nxt =
-                   pred->next[dl].load(std::memory_order_acquire);  // pairs: next-link
+                   pred->next(dl).load(std::memory_order_acquire);  // pairs: next-link
                nxt && less_(nxt->anchor, m->anchor);
-               nxt = pred->next[dl].load(std::memory_order_acquire))  // pairs: next-link
+               nxt = pred->next(dl).load(std::memory_order_acquire))  // pairs: next-link
             pred = nxt;
         }
         Node* succ =
-            pred->next[l].load(std::memory_order_acquire);  // pairs: next-link
+            pred->next(l).load(std::memory_order_acquire);  // pairs: next-link
         if (succ == m) break;
         // relaxed: m's slot at level l is unreachable until the CAS below
         // publishes it (only its creator links level l).
-        m->next[l].store(succ, std::memory_order_relaxed);
-        if (pred->next[l].compare_exchange_strong(
+        m->next(l).store(succ, std::memory_order_relaxed);
+        if (pred->next(l).compare_exchange_strong(
                 succ, m, std::memory_order_seq_cst))  // pairs: next-link
           break;
       }
@@ -2184,7 +2233,7 @@ class SnapCursor {
     guard_.assert_held();
     ticket_.assert_pinned();
     const K cur = key();
-    land_forward(node_->next[0].load(std::memory_order_seq_cst),  // pairs: next-link
+    land_forward(node_->next(0).load(std::memory_order_seq_cst),  // pairs: next-link
                  &cur, /*inclusive=*/false);
   }
 
@@ -2231,7 +2280,7 @@ class SnapCursor {
       return map_->less_(k, e.first);
     };
     for (; x;
-         x = x->next[0].load(std::memory_order_seq_cst)) {  // pairs: next-link
+         x = x->next(0).load(std::memory_order_seq_cst)) {  // pairs: next-link
       if (Rev* r = visible_head(x)) {
         std::uint32_t i = 0;
         if (bound) {

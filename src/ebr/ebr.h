@@ -13,9 +13,12 @@
 // (DESIGN.md §5) leans on this total order: a reader whose guard began after
 // an object was retired is guaranteed to observe every store the retiring
 // thread made before the retire (in particular version stamps), so it never
-// walks a revision chain into memory it is not protecting. Every atomic site
-// below carries a `pairs:`/`relaxed:` annotation checked by
-// tools/atomic_audit.py against the DESIGN.md §10 catalog.
+// walks a revision chain into memory it is not protecting. Guard exit needs
+// only a release: a grace-period scan that sees the thread idle must also
+// see every read its guard made, and the seq_cst entry of the thread's next
+// guard restores the total order. Every atomic site below carries a
+// `pairs:`/`relaxed:` annotation checked by tools/atomic_audit.py against
+// the DESIGN.md §10 catalog.
 //
 // Beyond guards, this header tracks *versions*: a VersionTicket registers
 // the TSC version a reader is pinned at (a snapshot, a cursor, one scan),
@@ -67,19 +70,20 @@ struct Retired {
   void (*deleter)(void*);
 };
 
-// Cacheline-aligned: each record's pinned/nest fields are written on every
-// outermost guard entry/exit by exactly one thread; alignment keeps two
-// records (small enough for the allocator to co-locate) from false-sharing
-// each other's per-op stores, and keeps a record's hot fields off the line
-// of whatever the allocator places after it. See DESIGN.md §14.
+// Cacheline-aligned: each record's pinned and nest fields are written on
+// guard entry/exit by exactly one thread; alignment keeps two records
+// (small enough for the allocator to co-locate) from false-sharing each
+// other's per-op stores, and keeps a record's hot fields off the line of
+// whatever the allocator places after it. See DESIGN.md §14.
 struct alignas(kCacheLineBytes) ThreadRec {
   // Epoch this thread is pinned at; kIdleEpoch when not inside a guard.
   std::atomic<std::uint64_t> pinned{kIdleEpoch};
-  std::atomic<int> nest{0};
   std::atomic<bool> in_use{true};
   ThreadRec* next = nullptr;  // immutable after registration
-  // Retired objects bucketed by (epoch % 3). Only the owning thread touches
-  // these, and ownership hand-off goes through the in_use acquire/release.
+  // Guard nesting depth and retired objects bucketed by (epoch % 3). Only
+  // the owning thread touches these, and ownership hand-off goes through the
+  // in_use acquire/release.
+  int nest = 0;
   std::vector<Retired> limbo[3];
   std::uint64_t limbo_epoch[3] = {0, 0, 0};
   std::size_t retires_since_scan = 0;
@@ -198,8 +202,7 @@ inline void collect(ThreadRec* rec, std::uint64_t now) {
 class JIFFY_CAPABILITY("ebr_guard") Guard {
  public:
   Guard() : rec_(detail::my_rec()) {
-    // relaxed: nest is only ever touched by its owning thread.
-    if (rec_->nest.fetch_add(1, std::memory_order_relaxed) == 0) {
+    if (rec_->nest++ == 0) {
       detail::Global& g = detail::global();
       // Publish the pin, then re-check: the epoch may have advanced between
       // the read and the store, in which case re-pin at the newer epoch.
@@ -216,10 +219,11 @@ class JIFFY_CAPABILITY("ebr_guard") Guard {
   }
 
   ~Guard() {
-    // relaxed: nest is only ever touched by its owning thread.
-    if (rec_->nest.fetch_sub(1, std::memory_order_relaxed) == 1)
+    // Release, not seq_cst: the unpin has to order only this guard's reads
+    // before the grace-period scan that observes it (see the header note).
+    if (--rec_->nest == 0)
       rec_->pinned.store(detail::kIdleEpoch,
-                         std::memory_order_seq_cst);  // pairs: ebr-pin
+                         std::memory_order_release);  // pairs: ebr-pin
   }
 
   Guard(const Guard&) = delete;

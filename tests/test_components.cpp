@@ -1,9 +1,10 @@
 // Unit checks for the supporting subsystems: clocks, RNG + distributions,
 // key/value codecs, FixedBytes ordering, revision builder + binary search,
-// the thread-local block cache, EBR, and the CSLM + LockedMap baselines
-// (sequential and a short 4-thread shake for the CSLM).
+// the node block layout, the thread-local block cache, EBR, and the CSLM +
+// LockedMap baselines (sequential and a short 4-thread shake for the CSLM).
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -134,6 +135,40 @@ void test_revision_builder() {
     }
     Rev::unref(r, /*immediate=*/true);
   }
+}
+
+// A node is one block: the header, then `height` inline tower slots. At
+// every height each slot must start null and lie inside the node's own block,
+// past the header; writing every slot must leave the header intact (and
+// stay inside the allocation, which ASan checks).
+template <class K>
+void check_node_block(K anchor) {
+  using Node = JiffyNode<K, std::uint32_t>;
+  for (int h = 1; h <= Node::kMaxHeight; ++h) {
+    Node* n = Node::create(h, /*head=*/false, anchor);
+    const auto lo = reinterpret_cast<std::uintptr_t>(n);
+    const std::uintptr_t hi = lo + Node::block_bytes(h);
+    for (int l = 0; l < h; ++l) {
+      const auto slot = reinterpret_cast<std::uintptr_t>(&n->next(l));
+      CHECK(slot >= lo + sizeof(Node));
+      CHECK(slot + sizeof(typename Node::Link) <= hi);
+      CHECK(n->next(l).load(std::memory_order_relaxed) == nullptr);
+    }
+    for (int l = 0; l < h; ++l) n->next(l).store(n, std::memory_order_relaxed);
+    CHECK_EQ(n->height, h);
+    CHECK(!n->is_head);
+    CHECK(n->anchor == anchor);
+    CHECK(n->rev.load(std::memory_order_relaxed) == nullptr);
+    CHECK(n->back.load(std::memory_order_relaxed) == nullptr);
+    CHECK(!n->condemned.load(std::memory_order_relaxed));
+    delete n;
+  }
+}
+
+void test_node_block() {
+  check_node_block<std::uint64_t>(42);
+  check_node_block<std::uint32_t>(7);  // the repository benchmark's key
+  check_node_block(KeyCodec<Key16>::encode(3, 100));
 }
 
 void test_block_cache() {
@@ -280,6 +315,7 @@ int main() {
   test_rng_and_chooser();
   test_codecs();
   test_revision_builder();
+  test_node_block();
   test_block_cache();
   test_ebr();
   test_cslm();

@@ -23,16 +23,18 @@ reported as WARNINGS:
   point-ops, and the harness role schedule gives scanners 50% of a 1-core
   box at 2 threads but 25% at 4+ (1 scanner of 2 vs 1 of 4) — the apparent
   2->4 "cliff" is that share arithmetic, not the engine;
-* batched groups (b10/b100 seq/rand): their multi-thread deficit is
-  pre-existing at the ISSUE-9 seed (fig10 b100_rand already ran 0.65x at
-  2 threads before any of this work) and a different mechanism from the
-  per-op cacheline and allocator contention the hard gate protects
-  (ROADMAP item). The ISSUE-10 counters MEASURED the long-suspected
-  helping-replay-duplication explanation and refuted it: across the
-  b10/b100 x seq/rand x 1/2/4-thread sweep, replay_group_duplicated is
-  <= 0.03% of installed groups (typically 0-5 of tens of thousands), so
-  rebuilt group work is noise — the deficit is descriptor coordination
-  plus oversubscription, not duplicated rebuilds.
+* batched groups (b10/b100 seq/rand): their multi-thread deficit predates
+  the per-op cacheline and allocator work the hard gate protects (fig10
+  b100_rand already ran 0.65x at 2 threads before it) and is a different
+  mechanism: helping-replay duplication (ROADMAP direction 1). A writer
+  that meets a pending batch revision replays the rest of that batch in
+  lockstep with its owner, both build every group, and one of the two
+  builds is thrown away. The _20261017_122313 fig6 sweep counts
+  replay_group_duplicated at 0.91x of replay_group_claimed on b10_rand
+  and 2.0x on b100_rand at 4 threads (0.19x and 0.44x at 2). An earlier
+  sweep read <= 0.03% and concluded the opposite; it used 0.05-s cells at
+  1-2 threads on a one-core container, where owner and helper rarely ran
+  at the same time.
 
 --metrics=<file> (repeatable) points at the harness's --metrics JSON dump
 (schema jiffy-metrics-v1, src/obs/counters.h). When the dump covers a
