@@ -7,7 +7,6 @@ int main(int argc, char** argv) {
   using namespace jiffy;
   const auto cli = bench::parse_cli(argc, argv);
   bench::run_figure<Key16, Value100>("fig8", "16/100B",
-                                     KeyChooser::Kind::Zipfian, cli,
-                                     /*include_kiwi=*/false);
+                                     KeyChooser::Kind::Zipfian, cli);
   return 0;
 }

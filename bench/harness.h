@@ -40,19 +40,21 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
-#if defined(__GLIBC__)
-#include <malloc.h>  // mallopt: single-core arena clamp in run_figure
-#endif
 
-#include "baselines/adapters.h"
+#include "baselines/cslm.h"
 #include "common/striped_counter.h"  // CachePadded
+#include "core/jiffy.h"
 #include "obs/counters.h"
 #include "obs/histogram.h"
 #include "obs/trace.h"
@@ -61,6 +63,34 @@
 #include "workload/rng.h"
 
 namespace jiffy::bench {
+
+// The surface the harness drives every index through. `scan_n` visits up to
+// n entries with key >= from in ascending order; `rscan_n` up to n entries
+// with key <= from in descending order; `range_scan` every entry in the
+// half-open range [lo, hi) ascending. All three return the visit count.
+// `apply` consumes a typed Batch (atomic only on JiffyMap).
+template <class M>
+concept MapApi = requires(M& m, const M& cm, const typename M::key_type& k,
+                          const typename M::mapped_type& v,
+                          Batch<typename M::key_type,
+                                typename M::mapped_type> b) {
+  { m.put(k, v) } -> std::same_as<bool>;
+  { m.erase(k) } -> std::same_as<bool>;
+  { cm.get(k) } -> std::same_as<std::optional<typename M::mapped_type>>;
+  { m.apply(std::move(b)) } -> std::same_as<void>;
+  { cm.scan_n(k, std::size_t{1},
+              [](const typename M::key_type&,
+                 const typename M::mapped_type&) {}) }
+      -> std::same_as<std::size_t>;
+  { cm.rscan_n(k, std::size_t{1},
+               [](const typename M::key_type&,
+                  const typename M::mapped_type&) {}) }
+      -> std::same_as<std::size_t>;
+  { cm.range_scan(k, k,
+                  [](const typename M::key_type&,
+                     const typename M::mapped_type&) {}) }
+      -> std::same_as<std::size_t>;
+};
 
 enum class Scenario {
   kUpdateOnly,
@@ -271,10 +301,11 @@ inline RoleSplit roles_for(Scenario s, int threads) {
 // The chooser is passed in: it is immutable and identical for the whole
 // sweep, and constructing it is O(key_space) for Zipf (the zeta sum), which
 // would otherwise be paid once per cell at --paper scale.
-template <class K, class V, class Adapter>
-  requires MapApi<Adapter>
-RowResult run_cell(Adapter& idx, const RunConfig& cfg, int threads,
+template <MapApi Map>
+RowResult run_cell(Map& idx, const RunConfig& cfg, int threads,
                    const KeyChooser& chooser) {
+  using K = typename Map::key_type;
+  using V = typename Map::mapped_type;
   const RoleSplit roles = roles_for(cfg.scenario, threads);
 
   // start and stop are written by the coordinator while every worker polls
@@ -583,15 +614,16 @@ inline void write_metrics_file() {
 // 8-thread cell ran ~25% slower than the identical fresh-map cell). Reps
 // within a cell still share the cell's index — every cell ages the same
 // way, so best-of-N stays comparable across thread counts.
-template <class K, class V, class Adapter>
-  requires MapApi<Adapter>
+template <MapApi Map>
 void run_index(const RunConfig& cfg, const char* name) {
-  const auto preload = [&cfg](Adapter& idx) {
-    // Shuffled preload: ascending insertion would degenerate the BST-route
-    // baselines (every split lands on the right edge). Indices are strided
-    // across the whole key space (every other lattice point for the default
-    // 2x domain) so present and absent keys interleave — otherwise every
-    // miss would route to the node past the last key.
+  using K = typename Map::key_type;
+  using V = typename Map::mapped_type;
+  const auto preload = [&cfg](Map& idx) {
+    // Shuffled preload: ascending insertion would land every split on the
+    // right edge. Indices are strided across the whole key space (every
+    // other lattice point for the default 2x domain) so present and absent
+    // keys interleave — otherwise every miss would route to the node past
+    // the last key.
     const std::uint64_t stride =
         cfg.entries ? std::max<std::uint64_t>(cfg.key_space / cfg.entries, 1)
                     : 1;
@@ -605,19 +637,19 @@ void run_index(const RunConfig& cfg, const char* name) {
   };
   const KeyChooser chooser(cfg.dist, cfg.key_space, cfg.zipf_theta);
   for (int threads : cfg.threads) {
-    Adapter idx;
+    Map idx;
     preload(idx);
     if (cfg.warmup > 0) {
       RunConfig warm = cfg;
       warm.seconds = cfg.warmup;
-      run_cell<K, V>(idx, warm, threads, chooser);
+      run_cell(idx, warm, threads, chooser);
     }
     // Counter deltas are taken AFTER warmup so the attributed window covers
     // exactly the measured reps (cells run sequentially; see MetricsSnapshot).
     const obs::MetricsSnapshot snap0 = obs::snapshot();
-    RowResult r = run_cell<K, V>(idx, cfg, threads, chooser);
+    RowResult r = run_cell(idx, cfg, threads, chooser);
     for (int rep = 1; rep < cfg.reps; ++rep) {
-      const RowResult q = run_cell<K, V>(idx, cfg, threads, chooser);
+      const RowResult q = run_cell(idx, cfg, threads, chooser);
       if (q.total_mops > r.total_mops) r = q;
     }
     const obs::MetricsSnapshot delta = obs::snapshot() - snap0;
@@ -634,8 +666,8 @@ void run_index(const RunConfig& cfg, const char* name) {
     std::fflush(stdout);
     if (!metrics_sink().path.empty()) {
       std::string map_json;
-      if constexpr (requires { idx.underlying().debug_stats(); }) {
-        const auto ds = idx.underlying().debug_stats();
+      if constexpr (requires { idx.debug_stats(); }) {
+        const auto ds = idx.debug_stats();
         char buf[512];
         std::snprintf(
             buf, sizeof buf,
@@ -660,8 +692,8 @@ struct CliOptions {
   std::uint64_t entries = 20'000;
   std::vector<int> threads = {1, 2, 4};
   bool paper = false;
-  std::string only_index;     // run just one index
-  std::string only_scenario;  // a/b/c/d
+  std::string only_index;     // run just one index: jiffy or cslm
+  std::string only_scenario;  // run just one scenario: a..e
   bool skip_batches = false;
   int reps = 1;  // best-of-N per cell (see RunConfig::reps)
   double rate = 0;           // open-loop intended ops/sec (0 = closed loop)
@@ -700,8 +732,20 @@ inline CliOptions parse_cli(int argc, char** argv) {
       }
     } else if (a.rfind("--index=", 0) == 0) {
       o.only_index = val("--index=");
+      if (o.only_index != "jiffy" && o.only_index != "cslm") {
+        std::fprintf(stderr, "unknown --index=%s (valid: jiffy, cslm)\n",
+                     o.only_index.c_str());
+        std::exit(2);
+      }
     } else if (a.rfind("--scenario=", 0) == 0) {
       o.only_scenario = val("--scenario=");
+      if (o.only_scenario.size() != 1 || o.only_scenario[0] < 'a' ||
+          o.only_scenario[0] > 'e') {
+        std::fprintf(stderr,
+                     "unknown --scenario=%s (valid: a, b, c, d, e)\n",
+                     o.only_scenario.c_str());
+        std::exit(2);
+      }
     } else if (a == "--no-batches") {
       o.skip_batches = true;
     } else if (a.rfind("--reps=", 0) == 0) {
@@ -715,8 +759,8 @@ inline CliOptions parse_cli(int argc, char** argv) {
     } else if (a == "--help") {
       std::printf(
           "flags: --paper | --seconds=S | --entries=N | --threads=a,b,c | "
-          "--index=NAME | --scenario=a|b|c|d|e | --no-batches | --reps=N | "
-          "--rate=OPS_PER_SEC (open-loop latency mode) | "
+          "--index=jiffy|cslm | --scenario=a|b|c|d|e | --no-batches | "
+          "--reps=N | --rate=OPS_PER_SEC (open-loop latency mode) | "
           "--metrics=FILE (per-cell counter/latency JSON) | "
           "--trace=FILE (binary event trace, see tools/traceview.py)\n");
       std::exit(0);
@@ -726,21 +770,10 @@ inline CliOptions parse_cli(int argc, char** argv) {
 }
 
 // Runs one complete figure: the simple-update row for every index, then the
-// batch rows for the three indices that support atomic batch updates.
+// batch rows for Jiffy, the one index whose apply() is atomic.
 template <class K, class V>
 void run_figure(const char* figure, const char* kv_shape,
-                KeyChooser::Kind dist, const CliOptions& cli,
-                bool include_kiwi) {
-#if defined(__GLIBC__)
-  // Oversubscribed single-core boxes: glibc hands each worker its own malloc
-  // arena, but revisions are routinely allocated by one thread and freed
-  // (via EBR) by another, so chunks migrate between arenas instead of being
-  // reused hot. With one hardware thread the usual reason for multiple
-  // arenas — cross-core lock contention — does not exist, so clamp to one
-  // and keep the allocation stream cache-resident (measured ~4-5% on the
-  // 8-thread update-only cell; see DESIGN.md §14). Left alone on multicore.
-  if (std::thread::hardware_concurrency() <= 1) mallopt(M_ARENA_MAX, 1);
-#endif
+                KeyChooser::Kind dist, const CliOptions& cli) {
   RunConfig base;
   base.figure = figure;
   base.kv_shape = kv_shape;
@@ -764,8 +797,7 @@ void run_figure(const char* figure, const char* kv_shape,
                                 Scenario::kMixedLongScan,
                                 Scenario::kMixedRange};
   auto scenario_enabled = [&](Scenario s) {
-    if (cli.only_scenario.empty()) return true;
-    return cli.only_scenario.size() == 1 &&
+    return cli.only_scenario.empty() ||
            cli.only_scenario[0] == scenario_name(s)[0];
   };
   auto index_enabled = [&](const char* n) {
@@ -779,31 +811,15 @@ void run_figure(const char* figure, const char* kv_shape,
 
     // Simple put/remove row: every index (Figure top rows).
     cfg.batch = BatchMode{};
-    if (index_enabled("jiffy")) run_index<K, V, JiffyAdapter<K, V>>(cfg, "jiffy");
-    if (index_enabled("lf-list"))
-      run_index<K, V, LfListAdapter<K, V>>(cfg, "lf-list");
-    if (index_enabled("k-ary")) run_index<K, V, KaryAdapter<K, V>>(cfg, "k-ary");
-    if (index_enabled("ca-avl"))
-      run_index<K, V, CaAvlAdapter<K, V>>(cfg, "ca-avl");
-    if (index_enabled("ca-sl")) run_index<K, V, CaSlAdapter<K, V>>(cfg, "ca-sl");
-    if (index_enabled("ca-imm"))
-      run_index<K, V, CaImmAdapter<K, V>>(cfg, "ca-imm");
-    if (index_enabled("lfca")) run_index<K, V, LfcaAdapter<K, V>>(cfg, "lfca");
-    if (index_enabled("cslm")) run_index<K, V, CslmAdapter<K, V>>(cfg, "cslm");
-    if (include_kiwi && index_enabled("kiwi"))
-      run_index<K, V, KiwiAdapter<K, V>>(cfg, "kiwi");
+    if (index_enabled("jiffy")) run_index<JiffyMap<K, V>>(cfg, "jiffy");
+    if (index_enabled("cslm")) run_index<baselines::CslmMap<K, V>>(cfg, "cslm");
 
-    // Batch rows: Jiffy vs the lock-based CA trees (Figure middle/bottom).
-    if (cli.skip_batches) continue;
+    // Batch rows (Figure middle/bottom): CSLM's apply() is a plain loop.
+    if (cli.skip_batches || !index_enabled("jiffy")) continue;
     for (std::size_t bsz : {std::size_t{10}, std::size_t{100}}) {
       for (bool seq : {true, false}) {
         cfg.batch = BatchMode{bsz, seq};
-        if (index_enabled("jiffy"))
-          run_index<K, V, JiffyAdapter<K, V>>(cfg, "jiffy");
-        if (index_enabled("ca-avl"))
-          run_index<K, V, CaAvlAdapter<K, V>>(cfg, "ca-avl");
-        if (index_enabled("ca-sl"))
-          run_index<K, V, CaSlAdapter<K, V>>(cfg, "ca-sl");
+        run_index<JiffyMap<K, V>>(cfg, "jiffy");
       }
     }
   }

@@ -3,7 +3,7 @@
 # BENCH_RESULTS/. Defaults are the small-machine grid (DESIGN.md §2); pass
 # --paper through to any figure via EXTRA_ARGS.
 #
-#   ./bench/run_all.sh                 # small grid, native indices only
+#   ./bench/run_all.sh                 # small grid, jiffy and cslm
 #   ./bench/run_all.sh --quick         # CI-sized cells (short secs/entries)
 #   EXTRA_ARGS="--paper" ./bench/run_all.sh
 #   BUILD_DIR=build-foo ./bench/run_all.sh
@@ -13,8 +13,9 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 OUT_DIR=${OUT_DIR:-BENCH_RESULTS}
 EXTRA_ARGS=${EXTRA_ARGS:-}
-# Stub adapters (see baselines/registry.h) measure a locked std::map, not
-# the paper's baselines; sweep only the native indices unless overridden.
+# Every index the harness runs. Narrow the sweep with INDICES=jiffy, not
+# with an --index= in EXTRA_ARGS: that flag would follow, and so override,
+# the per-index --index= below.
 INDICES=${INDICES:-"jiffy cslm"}
 
 for arg in "$@"; do

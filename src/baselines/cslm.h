@@ -28,6 +28,9 @@ namespace jiffy::baselines {
 template <class K, class V, class Less = std::less<K>>
 class CslmMap {
  public:
+  using key_type = K;
+  using mapped_type = V;
+
   CslmMap() {
     head_ = new Node(K{}, nullptr, kMaxLevel - 1, Sentinel::kHead);
     tail_ = new Node(K{}, nullptr, kMaxLevel - 1, Sentinel::kTail);

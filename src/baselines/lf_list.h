@@ -25,8 +25,8 @@
 //
 // Scans are weakly consistent level-0 traversals (no multiversioning);
 // rscan_n re-searches the predecessor per step (the list is singly linked);
-// apply() is a plain loop, NOT atomic. O(n) searches — keep it out of the
-// default bench sweep; it exists for differential correctness suites.
+// apply() is a plain loop, NOT atomic. O(n) searches, so the figure harness
+// does not run it; it exists for the differential correctness suites.
 #pragma once
 
 #include <atomic>
@@ -211,8 +211,7 @@ class LfList {
     return emitted;
   }
 
-  // Not atomic — like CSLM, this baseline has no batch support; the harness
-  // only emits batch rows for indices whose registry entry claims them.
+  // Not atomic — like CSLM, this baseline has no batch support.
   void apply(Batch<K, V> b) {
     for (const auto& op : b.ops()) {
       if (op.kind == BatchOp<K, V>::Kind::kPut)

@@ -14,13 +14,10 @@
 // cache entirely. The cache holds at most kMaxCachedBytes per thread and
 // frees everything at thread exit. Under ASan/TSan the cache compiles to the
 // plain allocator so use-after-free and race detection keep their precision
-// (a recycled block would otherwise hide UAF from ASan's quarantine);
-// JIFFY_NO_BLOCK_CACHE=1 in the environment disables it at runtime for
-// allocator-level debugging (e.g. MALLOC_CHECK_ hunts, see ROADMAP).
+// (a recycled block would otherwise hide UAF from ASan's quarantine).
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
 #include <new>
 
 #include "common/prefetch.h"
@@ -51,13 +48,13 @@ class ThreadBlockCache {
   // cache may serve it, untouched when it bypasses. Callers must free with
   // the same value they allocated with.
   static std::size_t usable_size(std::size_t bytes) {
-    if (!enabled() || bytes > kMaxBlockBytes) return bytes;
+    if (!JIFFY_BLOCK_CACHE_ENABLED || bytes > kMaxBlockBytes) return bytes;
     return (bytes + kGranularity - 1) & ~(kGranularity - 1);
   }
 
   // `bytes` must come from usable_size().
   static void* allocate(std::size_t bytes) {
-    if (enabled() && bytes <= kMaxBlockBytes) {
+    if (JIFFY_BLOCK_CACHE_ENABLED && bytes <= kMaxBlockBytes) {
       ThreadBlockCache& c = mine();
       const std::size_t idx = bytes / kGranularity - 1;
       if (FreeBlock* b = c.heads_[idx]) {
@@ -80,7 +77,7 @@ class ThreadBlockCache {
 
   // `bytes` must be the usable_size() the block was allocated with.
   static void deallocate(void* p, std::size_t bytes) {
-    if (enabled() && bytes <= kMaxBlockBytes) {
+    if (JIFFY_BLOCK_CACHE_ENABLED && bytes <= kMaxBlockBytes) {
       ThreadBlockCache& c = mine();
       if (c.cached_bytes_ + bytes <= kMaxCachedBytes) {
         const std::size_t idx = bytes / kGranularity - 1;
@@ -111,15 +108,6 @@ class ThreadBlockCache {
   };
   static_assert(kGranularity >= sizeof(FreeBlock),
                 "free-list link must fit in the smallest class");
-
-  static bool enabled() {
-#if JIFFY_BLOCK_CACHE_ENABLED
-    static const bool on = std::getenv("JIFFY_NO_BLOCK_CACHE") == nullptr;
-    return on;
-#else
-    return false;
-#endif
-  }
 
   static ThreadBlockCache& mine() {
     thread_local ThreadBlockCache cache;

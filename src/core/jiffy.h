@@ -415,14 +415,6 @@ struct JiffyNode {
   std::atomic<Revision<K, V>*> rev{nullptr};
   std::atomic<JiffyNode*> back{nullptr};
   std::atomic<std::uint64_t> birth{kPendingVersion};
-  // Link-structure generation observed when `back` was last validated: a
-  // slow-path pred_at stamps the pre-walk generation after tightening the
-  // hint, so a later reverse scan that sees back_gen == map.gen_ may try the
-  // hint directly. The stamp is a staleness filter only — `back` and
-  // `back_gen` are separate atomics racing writers can cross-pair, so the
-  // fast path still self-validates the hint (next(0) == this && held_at)
-  // before trusting it. See DESIGN.md §14.
-  std::atomic<std::uint64_t> back_gen{0};
 
   static constexpr std::size_t tower_offset() {
     return (sizeof(JiffyNode) + alignof(Link) - 1) / alignof(Link) *
@@ -479,11 +471,11 @@ struct JiffyConfig {
     // min/max counts as min(count target, byte budget / sizeof(Entry)),
     // floored at 8/32 entries — a pure reduction, so explicit small configs
     // and small-entry workloads see exactly the counts configured here.
-    std::uint32_t min_bytes = 576;   // 48 entries x 12B, the tuning point
-    std::uint32_t max_bytes = 2688;  // 224 entries x 12B
-    double tau_s = 0.5;              // EMA time constant (paper: ~1-10 s
-                                     // adjustment; scaled to small runs)
-    double interval_s = 0.05;        // min recompute interval
+    static constexpr std::uint32_t kMinBytes = 576;   // 48 entries x 12B
+    static constexpr std::uint32_t kMaxBytes = 2688;  // 224 entries x 12B
+    // EMA time constant (paper: ~1-10 s adjustment; scaled to small runs).
+    static constexpr double kTauSeconds = 0.5;
+    double interval_s = 0.05;  // min recompute interval
   } autoscaler;
   struct Reclaim {
     bool auto_purge = true;       // run purge() from the merge path when the
@@ -569,7 +561,8 @@ class RevisionAutoscaler {
     if (r + w == 0) return;
     const double rf = static_cast<double>(r) / static_cast<double>(r + w);
     const double dt = static_cast<double>(now - last) * 1e-9;
-    const double alpha = 1.0 - std::exp(-dt / cfg_.tau_s);
+    const double alpha =
+        1.0 - std::exp(-dt / JiffyConfig::Autoscaler::kTauSeconds);
     // relaxed: only the CAS winner writes ema_ in this window; readers
     // tolerate any recent value.
     double ema = ema_.load(std::memory_order_relaxed);
@@ -626,9 +619,9 @@ class JiffyMap {
   static JiffyConfig::Autoscaler byte_scaled(JiffyConfig::Autoscaler a) {
     const std::size_t e = sizeof(Entry);
     const auto by_min =
-        static_cast<std::uint32_t>(std::max<std::size_t>(8, a.min_bytes / e));
+        static_cast<std::uint32_t>(std::max<std::size_t>(8, a.kMinBytes / e));
     const auto by_max =
-        static_cast<std::uint32_t>(std::max<std::size_t>(32, a.max_bytes / e));
+        static_cast<std::uint32_t>(std::max<std::size_t>(32, a.kMaxBytes / e));
     if (by_min < a.min_size) a.min_size = by_min;
     if (by_max < a.max_size) a.max_size = by_max;
     if (a.max_size < a.min_size) a.max_size = a.min_size;
@@ -637,10 +630,6 @@ class JiffyMap {
 
   explicit JiffyMap(const JiffyConfig& cfg)
       : cfg_(cfg), scaler_(byte_scaled(cfg.autoscaler)) {
-    // relaxed: constructor runs before the map is shared. Start at 1 so a
-    // fresh node's zero-initialized back_gen can never match the live
-    // generation before a slow-path pred_at has actually validated its hint.
-    gen_.store(1, std::memory_order_relaxed);
     head_ = Node::create(Node::kMaxHeight, /*head=*/true, K{});
     Builder b(RevKind::kPlain, 0, /*version=*/0);
     head_->rev.store(b.finish(), std::memory_order_release);  // pairs: rev-install
@@ -765,19 +754,6 @@ class JiffyMap {
     scaler_.note(/*is_read=*/true);
     ebr::Guard g;
     g.assert_held();
-    const Entry* e = find_live(k, g);
-    if (!e) return std::nullopt;
-    return e->second;
-  }
-
-  // Expert variant of get() for callers that already hold an EBR guard and
-  // want to amortize the pin over a run of lookups. The annotation is load-
-  // bearing: a -Wthread-safety build rejects any call site that cannot
-  // prove `g` is held (tools/tests/fixture_unguarded.cpp is the negative
-  // test).
-  std::optional<V> get_pinned(const K& k, const ebr::Guard& g) const
-      JIFFY_REQUIRES_GUARD(g) {
-    scaler_.note(/*is_read=*/true);
     const Entry* e = find_live(k, g);
     if (!e) return std::nullopt;
     return e->second;
@@ -1479,15 +1455,6 @@ class JiffyMap {
     }
     sched::point(sched::Point::kSplitLink);
     ensure_link(x, rlow, g);
-    // The link chain just grew: any back_gen stamped against the pre-split
-    // structure is now stale, so bump the generation. Splits are the only
-    // bump site — purge splices and merges never insert a node between a
-    // hint and its successor, and liveness changes are covered by the fast
-    // path's held_at re-check (see pred_at).
-    // relaxed: the generation is a staleness filter only; pred_at's fast
-    // path self-validates every hint and never trusts the stamp alone, so
-    // no ordering with the link stores is required for correctness.
-    gen_.fetch_add(1, std::memory_order_relaxed);
     // Tighten the old successor's back hint onto the rightmost new node
     // (new_nodes[0]); stale hints only cost a longer forward re-walk.
     if (old_next && !new_nodes.empty())
@@ -1976,27 +1943,7 @@ class JiffyMap {
                 const ebr::VersionTicket& tk) const
       JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
     if (x == head_) return nullptr;
-    // relaxed: the generation is a staleness filter, not a publication
-    // channel — the fast path below self-validates the hint, so any recent
-    // value is acceptable (a stale read only forfeits the shortcut).
-    const std::uint64_t gen = gen_.load(std::memory_order_relaxed);
     Node* hint = x->back.load(std::memory_order_acquire);  // pairs: back-hint
-    // Quiescent fast path (DESIGN.md §14): a hint stamped with the current
-    // link generation was forward-validated since the last split changed
-    // the chain. The stamp alone is NOT trusted — back and back_gen are
-    // separate atomics that racing slow paths can cross-pair — so the hint
-    // is re-validated in place: it must still be x's immediate list
-    // predecessor (next(0) == x) and must hold its range at v. That pair of
-    // checks is point-in-time sound on its own (v was pinned before this
-    // call: a node linked later is born after v, and an unlinked node is a
-    // condemned tombstone already dead at v), which is what makes the
-    // generation safe to use as a mere filter. On a match the whole forward
-    // re-validation walk is skipped.
-    if (hint &&
-        x->back_gen.load(std::memory_order_acquire) == gen &&  // pairs: back-gen
-        hint->next(0).load(std::memory_order_seq_cst) == x &&  // pairs: next-link
-        (hint == head_ || held_at(hint, v, g, tk)))
-      return hint;
     Node* p = hint ? hint : head_;
     while (p != head_ && !held_at(p, v, g, tk)) {
       Node* q = p->back.load(std::memory_order_acquire);  // pairs: back-hint
@@ -2017,18 +1964,9 @@ class JiffyMap {
     // scrubs stale hints before retiring a shell, and a reader must not
     // plant fresh ones behind its back (ticketed versions make `best`
     // condemned only in the brief window before the condemn flag is seen).
-    // When the validated predecessor is x's immediate one, also stamp the
-    // pre-walk generation: if no split intervened (gen_ still == gen), a
-    // later reverse scan may take the fast path above. Stamping the
-    // *pre-walk* value is what keeps the filter conservative — a split
-    // racing this walk bumped gen_ already, so the stamp mismatches and the
-    // next reader re-validates.
-    if (!best->condemned.load(std::memory_order_seq_cst)) {  // pairs: condemn-flag
-      if (best != hint)
-        x->back.store(best, std::memory_order_release);  // pairs: back-hint
-      if (best->next(0).load(std::memory_order_seq_cst) == x)  // pairs: next-link
-        x->back_gen.store(gen, std::memory_order_release);  // pairs: back-gen
-    }
+    if (best != hint &&
+        !best->condemned.load(std::memory_order_seq_cst))  // pairs: condemn-flag
+      x->back.store(best, std::memory_order_release);  // pairs: back-hint
     return best;
   }
 
@@ -2109,14 +2047,6 @@ class JiffyMap {
   // atomics never false-share with each other or with the read-mostly
   // members above (head_, cfg_); see DESIGN.md §14 for the per-op budget.
   StripedCounter<kCounterShards> size_;
-  // Link-structure generation: bumped by install_split between linking the
-  // new nodes and stamping them live. pred_at's slow path stamps it into
-  // back_gen after validating a hint; a matching stamp lets reverse scans
-  // try the hint first. Bumped only on split — purge splices and merges
-  // never insert nodes between a hint and its successor, and liveness
-  // changes are covered by the fast path's held_at re-check.
-  CachePadded<std::atomic<std::uint64_t>> gen_pad_;
-  std::atomic<std::uint64_t>& gen_ = gen_pad_.value;
   Node* head_;
 
   // Reclamation state (purge()). purge_pending_ and purge_epoch_ are owned

@@ -1,0 +1,24 @@
+# ctest script (see tests/CMakeLists.txt): the figure harness FIG must reject
+# an --index= or --scenario= it does not run — exit 2, print nothing on
+# stdout, name the valid choices on stderr — and still run a valid choice.
+set(tiny --seconds=0.01 --warmup=0 --entries=100 --threads=1 --no-batches)
+
+foreach(bad --index=k-ary --index=lf-list --index= --scenario=f --scenario=ab)
+  execute_process(COMMAND ${FIG} ${bad} ${tiny}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${bad}: exit '${rc}', want 2")
+  endif()
+  if(NOT out STREQUAL "")
+    message(FATAL_ERROR "${bad}: wrote to stdout:\n${out}")
+  endif()
+  if(NOT err MATCHES "valid: ")
+    message(FATAL_ERROR "${bad}: stderr does not list the valid names:\n${err}")
+  endif()
+endforeach()
+
+execute_process(COMMAND ${FIG} --index=jiffy --scenario=a ${tiny}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0 OR NOT out MATCHES ",a_update,simple,[^,]+,[^,]+,jiffy,1,")
+  message(FATAL_ERROR "--index=jiffy --scenario=a: exit '${rc}':\n${out}")
+endif()

@@ -1,7 +1,7 @@
 // Unit checks for the supporting subsystems: clocks, RNG + distributions,
 // key/value codecs, FixedBytes ordering, revision builder + binary search,
-// the node block layout, the thread-local block cache, EBR, and the CSLM +
-// LockedMap baselines (sequential and a short 4-thread shake for the CSLM).
+// the node block layout, the thread-local block cache, EBR, and the CSLM
+// baseline (sequential and a short 4-thread shake).
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/adapters.h"
+#include "baselines/cslm.h"
 #include "common/block_cache.h"
 #include "common/fixed_bytes.h"
 #include "core/jiffy.h"
@@ -182,8 +182,8 @@ void test_block_cache() {
 
   const std::size_t u = C::usable_size(100);
   if (u == 100) {
-    // Cache compiled out (sanitizer build) or disabled via JIFFY_NO_BLOCK_CACHE:
-    // allocate/deallocate must still pair up as the plain allocator.
+    // Cache compiled out (sanitizer build): allocate/deallocate must still
+    // pair up as the plain allocator.
     void* p = C::allocate(u);
     CHECK(p != nullptr);
     C::deallocate(p, u);
@@ -258,7 +258,7 @@ void shake_map_interface(M& m) {
 
 void test_cslm() {
   {
-    CslmAdapter<std::uint64_t, std::uint64_t> m;
+    baselines::CslmMap<std::uint64_t, std::uint64_t> m;
     shake_map_interface(m);
   }
   // Short 4-thread churn; correctness here = no crash/race (TSan preset)
@@ -294,20 +294,6 @@ void test_cslm() {
   for (std::uint64_t k = 0; k < 64; ++k) CHECK_EQ(*m.get(k), k);
 }
 
-void test_locked_map_stub() {
-  KaryAdapter<std::uint64_t, std::uint64_t> m;
-  shake_map_interface(m);
-  CHECK(baselines::adapter_info("k-ary") != nullptr);
-  CHECK(baselines::adapter_info("k-ary")->kind ==
-        baselines::AdapterKind::kStub);
-  CHECK(baselines::adapter_info("jiffy")->kind ==
-        baselines::AdapterKind::kNative);
-  CHECK(baselines::adapter_info("lf-list")->kind ==
-        baselines::AdapterKind::kNative);
-  CHECK(baselines::adapter_info("snaptree") == nullptr);  // replaced
-  CHECK(baselines::adapter_info("nope") == nullptr);
-}
-
 }  // namespace
 
 int main() {
@@ -319,7 +305,6 @@ int main() {
   test_block_cache();
   test_ebr();
   test_cslm();
-  test_locked_map_stub();
   std::puts("test_components OK");
   return 0;
 }

@@ -7,8 +7,9 @@
 //     range view equals the forward sequence clipped to [lo, hi);
 //   * snapshot stability while iterating backward: a Snapshot re-walked
 //     backward gives identical results while the map mutates underneath;
-//   * the MapApi surface (contains / approx_size / rscan_n / range_scan) on
-//     the Jiffy, CSLM and stub adapters against the same oracle.
+//   * the map surface shared by every concurrent map (contains /
+//     approx_size / rscan_n / range_scan) on the Jiffy, CSLM and lock-free
+//     list maps against the same oracle.
 // 1 writer + 3 readers where concurrent, so the TSan preset drives 4-way
 // races.
 #include <atomic>
@@ -17,7 +18,8 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/adapters.h"
+#include "baselines/cslm.h"
+#include "baselines/lf_list.h"
 #include "core/jiffy.h"
 #include "tests/test_util.h"
 #include "workload/keyvalue.h"
@@ -339,10 +341,10 @@ void test_backward_snapshot_stability() {
               static_cast<unsigned long long>(rounds.load()));
 }
 
-// The MapApi surface on every adapter family vs one oracle.
-template <class Adapter>
-void check_adapter_surface(const char* name) {
-  Adapter a;
+// The shared map surface on every concurrent map vs one oracle.
+template <class M>
+void check_map_surface(const char* name) {
+  M a;
   std::map<std::uint64_t, std::uint64_t> oracle;
   Rng rng(99);
   for (int i = 0; i < 4'000; ++i) {
@@ -397,7 +399,7 @@ void check_adapter_surface(const char* name) {
        ++it)
     want.emplace_back(it->first, it->second);
   CHECK(got == want);
-  std::printf("  adapter surface OK: %s (%zu entries)\n", name,
+  std::printf("  map surface OK: %s (%zu entries)\n", name,
               oracle.size());
 }
 
@@ -412,12 +414,10 @@ int main() {
   }
   test_reverse_equals_forward_concurrent();
   test_backward_snapshot_stability();
-  check_adapter_surface<JiffyAdapter<std::uint64_t, std::uint64_t>>("jiffy");
-  check_adapter_surface<CslmAdapter<std::uint64_t, std::uint64_t>>("cslm");
-  check_adapter_surface<LfListAdapter<std::uint64_t, std::uint64_t>>(
+  check_map_surface<Map>("jiffy");
+  check_map_surface<baselines::CslmMap<std::uint64_t, std::uint64_t>>("cslm");
+  check_map_surface<baselines::LfList<std::uint64_t, std::uint64_t>>(
       "lf-list");
-  check_adapter_surface<KaryAdapter<std::uint64_t, std::uint64_t>>(
-      "k-ary(stub)");
   std::puts("test_cursor_range OK");
   return 0;
 }
