@@ -39,7 +39,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <cstdio>
@@ -48,7 +50,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -701,12 +705,45 @@ struct CliOptions {
   std::string trace_path;    // --trace=<file>: binary event-trace dump
 };
 
+inline constexpr const char* kCliFlags =
+    "flags: --paper | --seconds=S | --warmup=S | --entries=N | "
+    "--threads=a,b,c | --index=jiffy|cslm | --scenario=a|b|c|d|e | "
+    "--no-batches | --reps=N | --rate=OPS_PER_SEC (open-loop latency mode) | "
+    "--metrics=FILE (per-cell counter/latency JSON) | "
+    "--trace=FILE (binary event trace, see tools/traceview.py)\n";
+
+// All of `s` as a T, or nullopt: from_chars takes no sign on unsigned types,
+// no blanks and no trailing junk. Durations and rates must be finite, >= 0.
+template <class T>
+std::optional<T> cli_number(const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [stop, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc{} || stop != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>)
+    if (!std::isfinite(v) || v < 0) return std::nullopt;
+  return v;
+}
+
+// Unknown flags and malformed numbers exit 2 with a usage line, before any
+// CSV row: a typo must not silently run the default grid.
 inline CliOptions parse_cli(int argc, char** argv) {
   CliOptions o;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto val = [&](const char* p) -> const char* {
-      return a.c_str() + std::strlen(p);
+    const std::size_t eq = a.find('=');
+    const std::string flag = a.substr(0, eq);
+    const std::string val = eq == std::string::npos ? "" : a.substr(eq + 1);
+    auto usage = [&](const char* why) {
+      std::fprintf(stderr, "%s: %s '%s'\nusage: %s [flags]\n%s", argv[0], why,
+                   a.c_str(), argv[0], kCliFlags);
+      std::exit(2);
+    };
+    auto number = [&]<class T>(T& out, const std::string& s) {
+      if (const std::optional<T> v = cli_number<T>(s))
+        out = *v;
+      else
+        usage("malformed number in");
     };
     if (a == "--paper") {
       o.paper = true;
@@ -714,31 +751,29 @@ inline CliOptions parse_cli(int argc, char** argv) {
       o.seconds = 5.0;
       o.warmup = 10.0;
       o.threads = {8, 16, 32, 48, 64, 80, 96};
-    } else if (a.rfind("--seconds=", 0) == 0) {
-      o.seconds = std::stod(val("--seconds="));
-    } else if (a.rfind("--warmup=", 0) == 0) {
-      o.warmup = std::stod(val("--warmup="));
-    } else if (a.rfind("--entries=", 0) == 0) {
-      o.entries = std::stoull(val("--entries="));
-    } else if (a.rfind("--threads=", 0) == 0) {
+    } else if (flag == "--seconds") {
+      number(o.seconds, val);
+    } else if (flag == "--warmup") {
+      number(o.warmup, val);
+    } else if (flag == "--entries") {
+      number(o.entries, val);
+    } else if (flag == "--threads") {
       o.threads.clear();
-      std::string list = val("--threads=");
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        std::size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        o.threads.push_back(std::stoi(list.substr(pos, comma - pos)));
+      for (std::size_t pos = 0; pos <= val.size();) {
+        const std::size_t comma = std::min(val.find(',', pos), val.size());
+        number(o.threads.emplace_back(), val.substr(pos, comma - pos));
+        if (o.threads.back() < 1) usage("malformed number in");
         pos = comma + 1;
       }
-    } else if (a.rfind("--index=", 0) == 0) {
-      o.only_index = val("--index=");
+    } else if (flag == "--index") {
+      o.only_index = val;
       if (o.only_index != "jiffy" && o.only_index != "cslm") {
         std::fprintf(stderr, "unknown --index=%s (valid: jiffy, cslm)\n",
                      o.only_index.c_str());
         std::exit(2);
       }
-    } else if (a.rfind("--scenario=", 0) == 0) {
-      o.only_scenario = val("--scenario=");
+    } else if (flag == "--scenario") {
+      o.only_scenario = val;
       if (o.only_scenario.size() != 1 || o.only_scenario[0] < 'a' ||
           o.only_scenario[0] > 'e') {
         std::fprintf(stderr,
@@ -748,22 +783,20 @@ inline CliOptions parse_cli(int argc, char** argv) {
       }
     } else if (a == "--no-batches") {
       o.skip_batches = true;
-    } else if (a.rfind("--reps=", 0) == 0) {
-      o.reps = std::max(1, std::stoi(val("--reps=")));
-    } else if (a.rfind("--rate=", 0) == 0) {
-      o.rate = std::stod(val("--rate="));
-    } else if (a.rfind("--metrics=", 0) == 0) {
-      o.metrics_path = val("--metrics=");
-    } else if (a.rfind("--trace=", 0) == 0) {
-      o.trace_path = val("--trace=");
+    } else if (flag == "--reps") {
+      number(o.reps, val);
+      o.reps = std::max(1, o.reps);
+    } else if (flag == "--rate") {
+      number(o.rate, val);
+    } else if (flag == "--metrics" && eq != std::string::npos) {
+      o.metrics_path = val;
+    } else if (flag == "--trace" && eq != std::string::npos) {
+      o.trace_path = val;
     } else if (a == "--help") {
-      std::printf(
-          "flags: --paper | --seconds=S | --entries=N | --threads=a,b,c | "
-          "--index=jiffy|cslm | --scenario=a|b|c|d|e | --no-batches | "
-          "--reps=N | --rate=OPS_PER_SEC (open-loop latency mode) | "
-          "--metrics=FILE (per-cell counter/latency JSON) | "
-          "--trace=FILE (binary event trace, see tools/traceview.py)\n");
+      std::printf("%s", kCliFlags);
       std::exit(0);
+    } else {
+      usage("unknown flag");
     }
   }
   return o;

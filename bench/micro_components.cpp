@@ -132,6 +132,22 @@ void BM_JiffyPut(benchmark::State& state) {
 }
 BENCHMARK(BM_JiffyPut);
 
+// The same overwrites with the autoscaler off and revisions capped at the
+// argument, so the cost of rebuilding a revision can be read per size.
+void BM_JiffyPutFixed(benchmark::State& state) {
+  JiffyConfig cfg;
+  cfg.autoscaler.enabled = false;
+  cfg.autoscaler.fixed_size = static_cast<std::uint32_t>(state.range(0));
+  SmallMap m(cfg);
+  preload_small(m);
+  Rng rng(3);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        m.put(small_key(rng.next_below(kSmallSpace / 2) * 2), 1));
+  state.counters["avg_revision"] = m.debug_stats().avg_revision_size;
+}
+BENCHMARK(BM_JiffyPutFixed)->Arg(32)->Arg(128)->Arg(224);
+
 // Uniform over the whole key space, so half the gets miss (as in perfbench).
 void BM_JiffyGet(benchmark::State& state) {
   SmallMap m;

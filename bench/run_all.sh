@@ -7,6 +7,14 @@
 #   ./bench/run_all.sh --quick         # CI-sized cells (short secs/entries)
 #   EXTRA_ARGS="--paper" ./bench/run_all.sh
 #   BUILD_DIR=build-foo ./bench/run_all.sh
+#   LIMIT_S=60 ./bench/run_all.sh      # per-invocation time limit (0: none)
+#
+# Every figure and ablation invocation runs under coreutils `timeout`. One
+# that hits the limit (a hung cell) is recorded in $OUT_DIR/hung_<stamp>.txt
+# with a warning on stderr, and the sweep goes on; any other failure stops
+# it. The default limit is 600 s (a healthy default-grid invocation took
+# 4-51 s on a 4-vCPU host), 120 s under --quick and none with
+# --paper.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,6 +32,7 @@ for arg in "$@"; do
       # Tiny cells so the whole CSV sweep fits in a CI job; prepended so an
       # explicit EXTRA_ARGS still wins (last flag parsed wins in the CLI).
       EXTRA_ARGS="--seconds=0.05 --warmup=0.05 --entries=4000 --threads=1,2 ${EXTRA_ARGS}"
+      LIMIT_S=${LIMIT_S:-120}
       ;;
     *)
       echo "unknown flag: $arg (supported: --quick)" >&2
@@ -38,8 +47,24 @@ if [ ! -x "$BUILD_DIR/fig6_uniform_4_4" ]; then
   cmake --build "$BUILD_DIR" -j >/dev/null
 fi
 
+case " $EXTRA_ARGS " in *" --paper "*) LIMIT_S=${LIMIT_S:-0} ;; esac
+LIMIT_S=${LIMIT_S:-600}
 mkdir -p "$OUT_DIR"
 stamp=$(date +%Y%m%d_%H%M%S)
+
+# limited WHAT CMD...: run CMD under the time limit. A timeout (124, or 137
+# once the grace KILL fires) is logged as hung and counts as success.
+limited() {
+  local what=$1 rc=0
+  shift
+  timeout --kill-after=10 "$LIMIT_S" "$@" || rc=$?
+  if [ "$rc" -eq 124 ] || [ "$rc" -eq 137 ]; then
+    echo "$what limit=${LIMIT_S}s" >> "$OUT_DIR/hung_${stamp}.txt"
+    echo "warning: $what hit the ${LIMIT_S}s limit; recorded in $OUT_DIR/hung_${stamp}.txt" >&2
+    return 0
+  fi
+  return "$rc"
+}
 
 for fig in fig5_uniform_16_100 fig6_uniform_4_4 fig8_zipf_16_100 fig10_zipf_4_4; do
   out="$OUT_DIR/${fig}_${stamp}.csv"
@@ -51,7 +76,7 @@ for fig in fig5_uniform_16_100 fig6_uniform_4_4 fig8_zipf_16_100 fig10_zipf_4_4;
     # check_scaling.py --metrics= accepts the flag repeatedly; glob them.
     metrics="$OUT_DIR/${fig}_${idx}_${stamp}.metrics.json"
     # shellcheck disable=SC2086
-    "$BUILD_DIR/$fig" --index="$idx" --metrics="$metrics" $EXTRA_ARGS | { [ -s "$out" ] && tail -n +2 || cat; } >> "$out"
+    limited "figure=$fig index=$idx" "$BUILD_DIR/$fig" --index="$idx" --metrics="$metrics" $EXTRA_ARGS | { [ -s "$out" ] && tail -n +2 || cat; } >> "$out"
   done
 done
 
@@ -59,7 +84,7 @@ for abl in ablation_clock ablation_revision_size; do
   out="$OUT_DIR/${abl}_${stamp}.csv"
   echo "== $abl -> $out"
   # shellcheck disable=SC2086
-  "$BUILD_DIR/$abl" $EXTRA_ARGS > "$out"
+  limited "ablation=$abl" "$BUILD_DIR/$abl" $EXTRA_ARGS > "$out"
 done
 
 if [ -x "$BUILD_DIR/micro_components" ]; then

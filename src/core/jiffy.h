@@ -55,6 +55,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <new>
 #include <optional>
 #include <span>
@@ -199,8 +200,6 @@ struct Revision {
   const Entry* begin() const { return entry_data(); }
   const Entry* end() const { return entry_data() + count; }
   const Entry& entry(std::uint32_t i) const { return entry_data()[i]; }
-  std::span<const Entry> entries() const { return {entry_data(), count}; }
-  bool empty() const { return count == 0; }
 
   static Revision* allocate(std::uint32_t capacity) {
     // Plain ::operator new only guarantees the default alignment; the
@@ -268,11 +267,13 @@ struct Revision {
   // each halving step can prefetch the two possible next midpoints while the
   // current compare resolves (DESIGN.md §14): on the big lookup-heavy
   // revisions the autoscaler builds, the dependent-miss chain of a cold
-  // binary search is the read path's dominant stall.
+  // binary search is the read path's dominant stall. `lo` narrows the search
+  // to [lo, end()): splice() resumes each op's search past the previous op.
   template <class Less>
-  const Entry* lower_bound_pos(const K& k, const Less& less) const {
-    const Entry* lo = begin();
-    std::size_t n = count;
+  const Entry* lower_bound_pos(const K& k, const Less& less,
+                               const Entry* lo = nullptr) const {
+    if (!lo) lo = begin();
+    std::size_t n = static_cast<std::size_t>(end() - lo);
     while (n > 8) {
       const std::size_t half = n / 2;
       prefetch_ro(lo + half / 2);                      // next mid, left half
@@ -291,12 +292,17 @@ struct Revision {
     return lo;
   }
 
-  // The one point lookup every path uses (get/contains, put, erase).
+  // Whether lower-bound position `at` holds k itself.
+  template <class Less>
+  bool holds(const Entry* at, const K& k, const Less& less) const {
+    return at != end() && !less(k, at->first);
+  }
+
+  // The point lookup of get and contains.
   template <class Less>
   const Entry* find_binary(const K& k, const Less& less) const {
     const Entry* it = lower_bound_pos(k, less);
-    if (it == end() || less(k, it->first)) return nullptr;
-    return it;
+    return holds(it, k, less) ? it : nullptr;
   }
 
   template <class Less>  // frozen-benchmark shim, defined below
@@ -345,12 +351,13 @@ template <class K, class V, class Unused = std::hash<K>>
 class RevisionBuilder;
 // ---- end of frozen-benchmark shim -------------------------------------------
 
-// Builds a revision from entries emitted in ascending key order; finish()
-// hands it over.
+// Builds a revision from entries emitted or appended in ascending key order;
+// finish() hands it over.
 template <class K, class V, class>
 class RevisionBuilder {
  public:
   using Rev = Revision<K, V>;
+  using Entry = typename Rev::Entry;
 
   RevisionBuilder(RevKind kind, std::uint32_t capacity,
                   std::uint64_t version = kPendingVersion)
@@ -359,6 +366,8 @@ class RevisionBuilder {
     // relaxed: the revision is thread-private until the install CAS.
     rev_->version.store(version, std::memory_order_relaxed);
   }
+  RevisionBuilder(RevisionBuilder&& o) noexcept
+      : rev_(std::exchange(o.rev_, nullptr)) {}
 
   ~RevisionBuilder() {
     if (rev_) Rev::dispose(rev_);
@@ -367,16 +376,71 @@ class RevisionBuilder {
   void emit(K k, V v) {
     assert(rev_->count < rev_->cap);
     ::new (rev_->entry_data() + rev_->count)
-        typename Rev::Entry(std::move(k), std::move(v));
+        Entry(std::move(k), std::move(v));
     ++rev_->count;
   }
 
-  std::uint32_t count() const { return rev_->count; }
+  // Copy a run of existing entries in one go (the bulk of every rebuild).
+  void append(const Entry* first, const Entry* last) {
+    assert(last - first <= room());
+    std::uninitialized_copy(first, last, rev_->entry_data() + rev_->count);
+    rev_->count += static_cast<std::uint32_t>(last - first);
+  }
+
+  std::uint32_t room() const { return rev_->cap - rev_->count; }
 
   Rev* finish() { return std::exchange(rev_, nullptr); }
 
  private:
   Rev* rev_;
+};
+
+// The one copy-on-write rewrite (DESIGN.md §1): feeds `out` (a builder or
+// a PartSink) r's entries with the sorted, key-unique `ops` applied. Per
+// op: binary-search its position among the entries not yet copied, append
+// the untouched run before it, skip the entry it replaces or erases, and
+// emit a put's new entry; the tail follows in one more append. `at`, when
+// given, is ops' first position (put and erase already searched for it).
+// An op that lands right where the previous one left off (a dense batch
+// group) costs one compare and no search.
+template <class K, class V, class Less, class Sink>
+void splice(const Revision<K, V>& r, std::span<const BatchOp<K, V>> ops,
+            const Less& less, Sink& out,
+            const typename Revision<K, V>::Entry* at = nullptr) {
+  const auto* it = r.begin();
+  for (const BatchOp<K, V>& op : ops) {
+    const auto* pos = at ? at : it;
+    if (pos != r.end() && less(pos->first, op.key))
+      pos = r.lower_bound_pos(op.key, less, pos + 1);
+    at = nullptr;
+    out.append(it, pos);
+    it = pos + (r.holds(pos, op.key, less) ? 1 : 0);
+    if (op.kind == BatchOp<K, V>::Kind::kPut) out.emit(op.key, op.value);
+  }
+  out.append(it, r.end());
+}
+
+// Splice sink for a split: cuts the rebuilt entry stream into consecutive
+// revisions, one builder per part, each sized up front and filled in turn,
+// so every run is copied once, in one append per part it spans.
+template <class K, class V>
+struct PartSink {
+  using Builder = RevisionBuilder<K, V>;
+  std::vector<Builder> parts;
+  std::size_t cur = 0;
+
+  Builder& open() {
+    while (parts[cur].room() == 0) ++cur;
+    return parts[cur];
+  }
+  void append(const typename Builder::Entry* first,
+              const typename Builder::Entry* last) {
+    for (std::ptrdiff_t n; first != last; first += n) {
+      n = std::min<std::ptrdiff_t>(open().room(), last - first);
+      parts[cur].append(first, first + n);
+    }
+  }
+  void emit(const K& k, const V& v) { open().emit(k, v); }
 };
 
 // A fat node: a key range plus the head of its revision chain. `next(0)` is
@@ -679,16 +743,17 @@ class JiffyMap {
     // of doomed multi-KB rebuilds. Two consecutive losses ⇒ donate the slice
     // to the contending writer instead of racing it. Uncontended puts never
     // lose, so the counter costs nothing on the fast path.
+    const BatchOp<K, V> op = BatchOp<K, V>::put(k, v);
     for (int losses = 0;;) {
       auto [x, r] = locate(k, g);
       if (wait_writable(x, r, g) != r) continue;  // head moved: re-route
       if (r->kind == RevKind::kAbsorbed) continue;  // merge committed here
-      const Entry* hit = r->find_binary(k, less_);
-      const std::uint32_t n = r->count;
-      const std::uint32_t newn = hit ? n : n + 1;
-      const std::uint32_t maxsz = effective_max_size();
-      if (newn > maxsz && newn >= 4) {
-        if (install_split(x, r, &k, &v, g)) {
+      // One search: hit or miss, the new size, the split and the splice.
+      const Entry* at = r->lower_bound_pos(k, less_);
+      const bool hit = r->holds(at, k, less_);
+      const std::uint32_t newn = r->count + (hit ? 0 : 1);
+      if (newn > effective_max_size() && newn >= 4) {
+        if (install_split(x, r, {&op, 1}, at, newn, g)) {
           if (!hit) size_.increment();  // sharded; see approx_size
           return !hit;
         }
@@ -697,20 +762,7 @@ class JiffyMap {
         continue;
       }
       Builder b(RevKind::kPlain, newn);
-      bool placed = false;
-      for (const Entry& e : r->entries()) {
-        if (!placed && less_(k, e.first)) {
-          b.emit(k, v);
-          placed = true;
-        }
-        if (!placed && !less_(e.first, k)) {  // e.first == k: overwrite
-          b.emit(k, v);
-          placed = true;
-          continue;
-        }
-        b.emit(e.first, e.second);
-      }
-      if (!placed) b.emit(k, v);  // k after all entries
+      splice(*r, {&op, 1}, less_, b, at);
       Rev* nr = b.finish();
       nr->prev = r;
       if (install_plain(x, r, nr, g)) {
@@ -729,14 +781,15 @@ class JiffyMap {
     scaler_.note(/*is_read=*/false);
     ebr::Guard g;
     g.assert_held();
+    const BatchOp<K, V> op = BatchOp<K, V>::remove(k);
     for (int losses = 0;;) {  // same loss escalation as put()
       auto [x, r] = locate(k, g);
       if (wait_writable(x, r, g) != r) continue;  // head moved: re-route
       if (r->kind == RevKind::kAbsorbed) continue;  // merge committed here
-      if (!r->find_binary(k, less_)) return false;
+      const Entry* at = r->lower_bound_pos(k, less_);
+      if (!r->holds(at, k, less_)) return false;
       Builder b(RevKind::kPlain, r->count - 1);
-      for (const Entry& e : r->entries())
-        if (less_(e.first, k) || less_(k, e.first)) b.emit(e.first, e.second);
+      splice(*r, {&op, 1}, less_, b, at);
       Rev* nr = b.finish();
       nr->prev = r;
       if (install_plain(x, r, nr, g)) {
@@ -1251,7 +1304,14 @@ class JiffyMap {
       std::size_t j = i + 1;
       while (j < sops.size() && (!nxt || less_(sops[j].key, nxt->anchor))) ++j;
       sched::point(sched::Point::kBatchInstall);
-      Rev* nr = build_batch_rev(r, sops, i, j, cell, g);
+      Builder b(RevKind::kBatch,
+                static_cast<std::uint32_t>(r->count + (j - i)));
+      splice(*r, std::span(sops).subspan(i, j - i), less_, b);
+      Rev* nr = b.finish();
+      nr->cell = cell;
+      // relaxed: pre-publication refcount bump; the install CAS publishes.
+      cell->refs.fetch_add(1, std::memory_order_relaxed);
+      nr->prev = r;
       nr->batch_hi = j;
       if (!x->rev.compare_exchange_strong(
               r, nr, std::memory_order_seq_cst)) {  // pairs: rev-install
@@ -1334,36 +1394,42 @@ class JiffyMap {
     return true;
   }
 
-  // Split x's content (plus the pending put of *k, if any) into parts of at
-  // most max size: part 0 replaces x's revision, the rest become new nodes
-  // published atomically through the revision's sibling pointer.
-  bool install_split(Node* x, Rev* r, const K* k, const V* v,
+  // Split x's content, with `ops` spliced in (at `at`, if given), into
+  // `total` entries in parts of at most max size: part 0 replaces x's
+  // revision, the rest become new nodes, each anchored at its part's first
+  // key and published atomically through the revision's sibling pointer.
+  bool install_split(Node* x, Rev* r, std::span<const BatchOp<K, V>> ops,
+                     const Entry* at, std::uint32_t total,
                      const ebr::Guard& g) JIFFY_REQUIRES_GUARD(g) {
-    std::vector<Entry> merged;
-    merged.reserve(r->count + 1);
-    bool placed = (k == nullptr);
-    for (const Entry& e : r->entries()) {
-      if (!placed && less_(*k, e.first)) {
-        merged.emplace_back(*k, *v);
-        placed = true;
-      }
-      if (!placed && !less_(e.first, *k)) {  // equal: overwrite
-        merged.emplace_back(*k, *v);
-        placed = true;
-        continue;
-      }
-      merged.push_back(e);
-    }
-    if (!placed) merged.emplace_back(*k, *v);
-
-    const std::uint32_t total = static_cast<std::uint32_t>(merged.size());
     const std::uint32_t maxsz = std::max<std::uint32_t>(effective_max_size(), 2);
-    std::uint32_t nparts = (total + maxsz - 1) / maxsz;
-    if (nparts < 2) nparts = 2;
-    const std::uint32_t per = total / nparts;
-    const std::uint32_t rem = total % nparts;
+    const std::uint32_t nparts =
+        std::max<std::uint32_t>(2, (total + maxsz - 1) / maxsz);
+    // Append pattern (ascending bulk load: a put past the last entry): an
+    // even split would leave a trail of half-full revisions behind the
+    // insertion front. Split asymmetrically instead — keep the left part
+    // ~7/8 full — so loaded ranges stay dense.
+    const std::uint32_t dense =
+        std::min<std::uint32_t>(total - 1, (maxsz / 8) * 7);
+    PartSink<K, V> sink;
+    if (nparts == 2 && !ops.empty() && r->count != 0 && at == r->end() &&
+        dense > 0 && total - dense <= maxsz) {
+      sink.parts.emplace_back(RevKind::kPlain, dense);
+      sink.parts.emplace_back(RevKind::kPlain, total - dense);
+    } else {
+      for (std::uint32_t p = 0; p < nparts; ++p)
+        sink.parts.emplace_back(RevKind::kPlain,
+                                total / nparts + (p < total % nparts ? 1 : 0));
+    }
+    splice(*r, ops, less_, sink, at);
 
     auto* cell = new VersionCell;  // helpable: one CAS publishes everything
+    std::vector<Rev*> parts;
+    for (Builder& b : sink.parts) {
+      parts.push_back(b.finish());
+      parts.back()->cell = cell;
+      // relaxed: pre-publication refcount bump; the install CAS publishes.
+      cell->refs.fetch_add(1, std::memory_order_relaxed);
+    }
     Node* old_next = x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
     // Never record a condemned tombstone as the link target: the purge pass
     // is about to unlink it, so help it out first and re-read. (A condemn
@@ -1378,44 +1444,13 @@ class JiffyMap {
       old_next = x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
     }
 
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> parts;  // [lo, hi)
-    // Append pattern (ascending bulk load): an even split would leave a
-    // trail of half-full revisions behind the insertion front. Split
-    // asymmetrically instead — keep the left part ~7/8 full — so loaded
-    // ranges stay dense.
-    if (k && nparts == 2 && r->count != 0 &&
-        less_(r->entry(r->count - 1).first, *k)) {
-      const std::uint32_t left =
-          std::min<std::uint32_t>(total - 1, (maxsz / 8) * 7);
-      if (left > 0 && total - left <= maxsz) {
-        parts.emplace_back(0, left);
-        parts.emplace_back(left, total);
-      }
-    }
-    if (parts.empty()) {
-      std::uint32_t lo = 0;
-      for (std::uint32_t p = 0; p < nparts; ++p) {
-        const std::uint32_t sz = per + (p < rem ? 1 : 0);
-        parts.emplace_back(lo, lo + sz);
-        lo += sz;
-      }
-    }
-    nparts = static_cast<std::uint32_t>(parts.size());
     Node* chain = old_next;
     std::vector<Node*> new_nodes;
-    for (std::uint32_t p = nparts; p-- > 1;) {
-      auto [plo, phi] = parts[p];
-      Builder b(RevKind::kPlain, phi - plo);
-      for (std::uint32_t e = plo; e < phi; ++e)
-        b.emit(merged[e].first, merged[e].second);
-      Rev* rp = b.finish();
-      rp->cell = cell;
-      // relaxed: pre-publication refcount bump; the install CAS publishes.
-      cell->refs.fetch_add(1, std::memory_order_relaxed);
-      Node* m =
-          Node::create(random_height(), /*head=*/false, merged[plo].first);
+    for (std::size_t p = parts.size(); p-- > 1;) {
+      Node* m = Node::create(random_height(), /*head=*/false,
+                             parts[p]->entry(0).first);
       // relaxed: the node is thread-private until the install CAS.
-      m->rev.store(rp, std::memory_order_relaxed);
+      m->rev.store(parts[p], std::memory_order_relaxed);
       // relaxed: the node is thread-private until the install CAS.
       m->next(0).store(chain, std::memory_order_relaxed);
       chain = m;
@@ -1432,13 +1467,7 @@ class JiffyMap {
         left = new_nodes[q];
       }
     }
-    Builder b0(RevKind::kPlain, parts[0].second);
-    for (std::uint32_t e = parts[0].first; e < parts[0].second; ++e)
-      b0.emit(merged[e].first, merged[e].second);
-    Rev* rlow = b0.finish();
-    rlow->cell = cell;
-    // relaxed: pre-publication refcount bump; the install CAS publishes.
-    cell->refs.fetch_add(1, std::memory_order_relaxed);
+    Rev* rlow = parts[0];
     rlow->prev = r;
     rlow->sibling = chain;
     rlow->link_expect = old_next;
@@ -1515,8 +1544,8 @@ class JiffyMap {
     marker->home = x;
 
     Builder b(RevKind::kMerge, static_cast<std::uint32_t>(combined));
-    for (const Entry& e : rx->entries()) b.emit(e.first, e.second);
-    for (const Entry& e : rs->entries()) b.emit(e.first, e.second);
+    b.append(rx->begin(), rx->end());
+    b.append(rs->begin(), rs->end());
     Rev* merged = b.finish();
     merged->cell = cell;
     // relaxed: pre-publication refcount bump; the marker CAS publishes.
@@ -1539,7 +1568,7 @@ class JiffyMap {
       // marker. Nobody else replaces a pending marker (writers spin on it,
       // other merges skip pending heads), so this CAS cannot fail.
       Builder rb(RevKind::kPlain, rs->count);
-      for (const Entry& e : rs->entries()) rb.emit(e.first, e.second);
+      rb.append(rs->begin(), rs->end());
       Rev* restore = rb.finish();
       restore->prev = marker;
       Rev* fe = marker;
@@ -1705,36 +1734,6 @@ class JiffyMap {
     // exists, and EBR's epoch protocol ordered all prior stores.
     Rev::unref(n->rev.load(std::memory_order_relaxed), /*immediate=*/true);
     delete n;
-  }
-
-  Rev* build_batch_rev(Rev* r, const std::vector<BatchOp<K, V>>& ops,
-                       std::size_t i, std::size_t j, VersionCell* cell,
-                       [[maybe_unused]] const ebr::Guard& g)
-      JIFFY_REQUIRES_GUARD(g) {
-    Builder b(RevKind::kBatch, static_cast<std::uint32_t>(r->count + (j - i)));
-    const Entry* it = r->begin();
-    const Entry* const end = r->end();
-    for (std::size_t o = i; o < j; ++o) {
-      while (it != end && less_(it->first, ops[o].key)) {
-        b.emit(it->first, it->second);
-        ++it;
-      }
-      const bool exists =
-          it != end && !less_(ops[o].key, it->first);  // it->first == key
-      if (exists) ++it;
-      if (ops[o].kind == BatchOp<K, V>::Kind::kPut)
-        b.emit(ops[o].key, ops[o].value);
-    }
-    while (it != end) {
-      b.emit(it->first, it->second);
-      ++it;
-    }
-    Rev* nr = b.finish();
-    nr->cell = cell;
-    // relaxed: pre-publication refcount bump; the install CAS publishes.
-    cell->refs.fetch_add(1, std::memory_order_relaxed);
-    nr->prev = r;
-    return nr;
   }
 
   // k's entry under current routing, nullptr when absent (backs get() and

@@ -1,6 +1,8 @@
 # ctest script (see tests/CMakeLists.txt): the figure harness FIG must reject
 # an --index= or --scenario= it does not run — exit 2, print nothing on
-# stdout, name the valid choices on stderr — and still run a valid choice.
+# stdout, name the valid choices on stderr — reject an unknown flag or a
+# malformed number the same way with a usage line, and still run a valid
+# choice.
 set(tiny --seconds=0.01 --warmup=0 --entries=100 --threads=1 --no-batches)
 
 foreach(bad --index=k-ary --index=lf-list --index= --scenario=f --scenario=ab)
@@ -14,6 +16,20 @@ foreach(bad --index=k-ary --index=lf-list --index= --scenario=f --scenario=ab)
   endif()
   if(NOT err MATCHES "valid: ")
     message(FATAL_ERROR "${bad}: stderr does not list the valid names:\n${err}")
+  endif()
+endforeach()
+
+foreach(bad --thread=2 --seconds=abc --threads=1,x --reps= --no-batches=1)
+  execute_process(COMMAND ${FIG} ${bad} ${tiny}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${bad}: exit '${rc}', want 2")
+  endif()
+  if(NOT out STREQUAL "")
+    message(FATAL_ERROR "${bad}: wrote to stdout:\n${out}")
+  endif()
+  if(NOT err MATCHES "usage: ")
+    message(FATAL_ERROR "${bad}: stderr has no usage line:\n${err}")
   endif()
 endforeach()
 

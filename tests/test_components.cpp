@@ -1,7 +1,8 @@
 // Unit checks for the supporting subsystems: clocks, RNG + distributions,
 // key/value codecs, FixedBytes ordering, revision builder + binary search,
-// the node block layout, the thread-local block cache, EBR, and the CSLM
-// baseline (sequential and a short 4-thread shake).
+// the splice rewrite and its part sink, the node block layout, the
+// thread-local block cache, EBR, and the CSLM baseline (sequential and a
+// short 4-thread shake).
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -119,7 +120,7 @@ void test_revision_builder() {
       b.emit(keys.back(), i + 1);
     }
     Rev* r = b.finish();
-    CHECK_EQ(r->entries().size(), std::size_t{n});
+    CHECK_EQ(r->count, n);
     for (std::uint64_t probe = 0; probe <= std::uint64_t{n} * 3 + 4; ++probe) {
       const auto want = std::lower_bound(keys.begin(), keys.end(), probe);
       const auto* pos = r->lower_bound_pos(probe, lt);
@@ -132,6 +133,101 @@ void test_revision_builder() {
       } else {
         CHECK(hit == nullptr);
       }
+    }
+    Rev::unref(r, /*immediate=*/true);
+  }
+}
+
+// splice() is the only way a revision is rewritten (put, erase, batch
+// groups, splits). At every size from empty to past the largest target,
+// apply single ops and multi-op groups to keys 3, 6, ..., 3n (value = key
+// + 1) and compare the result with a sorted-vector model, both built into
+// one revision and cut into parts by a PartSink.
+void test_splice() {
+  using Rev = Revision<std::uint64_t, std::uint64_t>;
+  using Bld = RevisionBuilder<std::uint64_t, std::uint64_t>;
+  using Op = BatchOp<std::uint64_t, std::uint64_t>;
+  using Model = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  const std::less<std::uint64_t> lt;
+  Rng rng(11);
+
+  auto apply_model = [](Model m, const std::vector<Op>& ops) {
+    for (const Op& op : ops) {
+      auto it = std::lower_bound(
+          m.begin(), m.end(), op.key,
+          [](const auto& e, std::uint64_t k) { return e.first < k; });
+      if (it != m.end() && it->first == op.key) it = m.erase(it);
+      if (op.kind == Op::Kind::kPut) m.insert(it, {op.key, op.value});
+    }
+    return m;
+  };
+
+  for (std::uint32_t n = 0; n <= 300; ++n) {
+    Bld b(RevKind::kPlain, n, /*version=*/1);
+    Model base;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      base.emplace_back(std::uint64_t{i + 1} * 3, std::uint64_t{i + 1} * 3 + 1);
+      b.emit(base.back().first, base.back().second);
+    }
+    Rev* r = b.finish();
+
+    // Rebuild r with `ops` into one revision, and into up to three parts.
+    auto run = [&](const std::vector<Op>& ops, bool hint) {
+      const Model want = apply_model(base, ops);
+      const auto* at =
+          hint && !ops.empty() ? r->lower_bound_pos(ops[0].key, lt) : nullptr;
+      Bld one(RevKind::kPlain, static_cast<std::uint32_t>(want.size()));
+      splice(*r, std::span<const Op>(ops), lt, one, at);
+      Rev* got = one.finish();
+      CHECK_EQ(got->count, want.size());
+      CHECK(Model(got->begin(), got->end()) == want);
+      Rev::unref(got, /*immediate=*/true);
+
+      PartSink<std::uint64_t, std::uint64_t> sink;
+      std::size_t left = want.size();
+      for (std::size_t cut : {want.size() / 3, want.size() / 2}) {
+        sink.parts.emplace_back(RevKind::kPlain, static_cast<std::uint32_t>(cut));
+        left -= cut;
+      }
+      sink.parts.emplace_back(RevKind::kPlain, static_cast<std::uint32_t>(left));
+      splice(*r, std::span<const Op>(ops), lt, sink, at);
+      Model joined;
+      for (Bld& part : sink.parts) {
+        Rev* p = part.finish();
+        joined.insert(joined.end(), p->begin(), p->end());
+        Rev::unref(p, /*immediate=*/true);
+      }
+      CHECK(joined == want);
+    };
+
+    // Inserts before, between and after the entries; each one overwritten;
+    // each one erased; and erases of absent keys below, between and above.
+    // Single ops pass their position the way put and erase do; an absent
+    // erase searches itself, as a batch group's does.
+    for (std::uint64_t k = 1; k <= std::uint64_t{n} * 3 + 2; k += 3) {
+      run({Op::put(k, k * 7)}, true);
+      run({Op::remove(k)}, false);
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      run({Op::put(base[i].first, 0)}, true);
+      run({Op::remove(base[i].first)}, i % 2 == 0);
+    }
+
+    // Groups (sorted, one op per key) over keys below, on, between and past
+    // the entries, in every mix of puts and erases; dense groups first,
+    // then sparse ones.
+    for (int g = 0; g < 8; ++g) {
+      const std::uint64_t span = std::uint64_t{n} * 3 + 6;
+      const std::uint64_t gap = g < 4 ? 3 : span / 4 + 1;
+      std::vector<Op> ops;
+      for (std::uint64_t k = rng.next_below(4); k < span;
+           k += 1 + rng.next_below(gap)) {
+        if (rng.next_bool(0.5))
+          ops.push_back(Op::put(k, rng.next()));
+        else
+          ops.push_back(Op::remove(k));
+      }
+      run(ops, g % 2 == 0);
     }
     Rev::unref(r, /*immediate=*/true);
   }
@@ -301,6 +397,7 @@ int main() {
   test_rng_and_chooser();
   test_codecs();
   test_revision_builder();
+  test_splice();
   test_node_block();
   test_block_cache();
   test_ebr();

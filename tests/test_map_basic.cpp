@@ -1,6 +1,7 @@
 // Single-threaded JiffyMap semantics: put/get/erase, overwrite, ordering,
-// scan bounds, splits (tiny fixed revision sizes), large revisions, both kv
-// shapes, and snapshot reads at a quiescent point.
+// scan bounds, splits (tiny fixed revision sizes), the dense split of an
+// ascending load, large revisions, both kv shapes, and snapshot reads at a
+// quiescent point.
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -119,6 +120,23 @@ void test_fixed_bytes_shape() {
   CHECK_EQ(n, std::size_t{2'000});
 }
 
+// An ascending load splits every full node at its append front, keeping
+// the left part ~7/8 full (install_split): an even split would leave the
+// loaded nodes about half full, near 16 entries at a cap of 32.
+void test_ascending_load() {
+  JiffyMap<std::uint64_t, std::uint64_t> m(cfg_fixed(32));
+  for (std::uint64_t k = 0; k < 20'000; ++k) m.put(k, k + 1);
+  CHECK(m.debug_stats().avg_revision_size >= 26.0);
+  std::uint64_t want = 0;
+  const std::size_t n = m.scan_n(0, 30'000, [&](const std::uint64_t& k,
+                                                const std::uint64_t& v) {
+    CHECK_EQ(k, want);
+    CHECK_EQ(v, want + 1);
+    ++want;
+  });
+  CHECK_EQ(n, std::size_t{20'000});
+}
+
 void test_autoscaler_modes() {
   // Autoscaler on: target stays inside [min, max].
   JiffyConfig c;
@@ -142,6 +160,7 @@ int main() {
   test_crud(cfg_fixed(300));    // big revisions: long binary searches
   test_crud(JiffyConfig{});     // autoscaler defaults
   test_fixed_bytes_shape();
+  test_ascending_load();
   test_autoscaler_modes();
   std::puts("test_map_basic OK");
   return 0;
