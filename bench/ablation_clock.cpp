@@ -10,9 +10,13 @@
 // counter to flatten or regress as threads grow while tsc keeps scaling.
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/harness.h"  // cli_number
 #include "core/jiffy.h"
 #include "tsc/clock.h"
 #include "workload/keyvalue.h"
@@ -75,10 +79,25 @@ void run(const char* name, const Options& o, double read_fraction) {
 
 int main(int argc, char** argv) {
   Options o;
+  // Other flags are ignored, not rejected: run_all.sh hands every ablation
+  // the figure flags. The two numbers read here must parse, or exit 2.
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--seconds=", 0) == 0) o.seconds = std::stod(a.substr(10));
-    if (a.rfind("--entries=", 0) == 0) o.entries = std::stoull(a.substr(10));
+    auto number = [&]<class T>(T& out) {
+      const std::optional<T> v = jiffy::bench::cli_number<T>(a.substr(10));
+      if (v) {
+        out = *v;
+        return;
+      }
+      std::fprintf(stderr,
+                   "%s: malformed number in '%s'\n"
+                   "usage: %s [--seconds=S] [--entries=N] "
+                   "(other flags are ignored)\n",
+                   argv[0], a.c_str(), argv[0]);
+      std::exit(2);
+    };
+    if (a.rfind("--seconds=", 0) == 0) number(o.seconds);
+    if (a.rfind("--entries=", 0) == 0) number(o.entries);
   }
   std::printf("bench,clock,mix,threads,mops\n");
   for (double rf : {0.0, 0.75}) {

@@ -263,33 +263,34 @@ struct Revision {
   // the merge's second and final CAS landed. Pending kAbsorbed markers are
   // never stamped: their merge may still abort.)
 
-  // Lower-bound position of k (first entry not less than k). Hand-rolled so
-  // each halving step can prefetch the two possible next midpoints while the
-  // current compare resolves (DESIGN.md §14): on the big lookup-heavy
-  // revisions the autoscaler builds, the dependent-miss chain of a cold
-  // binary search is the read path's dominant stall. `lo` narrows the search
-  // to [lo, end()): splice() resumes each op's search past the previous op.
+  // Lower-bound position of k (first entry not less than k): the one search
+  // every in-revision lookup goes through (DESIGN.md §3). Branchless: each
+  // step halves the window [base, base + n) and picks the half by a
+  // conditional move, so no step waits on a mispredicted compare, and it
+  // prefetches both possible next probes while the current compare
+  // resolves (§14.2). `lo` narrows the search to [lo, end()): splice()
+  // resumes each op's search past the previous op.
   template <class Less>
   const Entry* lower_bound_pos(const K& k, const Less& less,
                                const Entry* lo = nullptr) const {
-    if (!lo) lo = begin();
-    std::size_t n = static_cast<std::size_t>(end() - lo);
-    while (n > 8) {
+    const Entry* base = lo ? lo : begin();
+    std::size_t n = static_cast<std::size_t>(end() - base);
+    if (n == 0) return base;
+    while (n > 1) {  // the answer lies in [base, base + n]
       const std::size_t half = n / 2;
-      prefetch_ro(lo + half / 2);                      // next mid, left half
-      prefetch_ro(lo + half + (n - half) / 2);         // next mid, right half
-      if (less(lo[half].first, k)) {
-        lo += half + 1;
-        n -= half + 1;
-      } else {
-        n = half;
-      }
+      n -= half;
+      prefetch_ro(base + n / 2);         // next probe if this one stays left
+      prefetch_ro(base + half + n / 2);  // next probe if it moves right
+      base = less(base[half].first, k) ? base + half : base;
     }
-    while (n > 0 && less(lo->first, k)) {
-      ++lo;
-      --n;
-    }
-    return lo;
+    return base + (less(base->first, k) ? 1 : 0);
+  }
+
+  // First entry greater than k (keys are unique within a revision).
+  template <class Less>
+  const Entry* upper_bound_pos(const K& k, const Less& less) const {
+    const Entry* at = lower_bound_pos(k, less);
+    return at + (holds(at, k, less) ? 1 : 0);
   }
 
   // Whether lower-bound position `at` holds k itself.
@@ -542,9 +543,8 @@ struct JiffyConfig {
     double interval_s = 0.05;  // min recompute interval
   } autoscaler;
   struct Reclaim {
-    bool auto_purge = true;       // run purge() from the merge path when the
-                                  // linked-shell count crosses `threshold`
-    std::uint32_t threshold = 512;
+    bool auto_purge = true;  // run purge() from the merge path once the dead
+                             // shells reach JiffyMap::purge_trigger()
   } reclaim;
 };
 
@@ -923,6 +923,14 @@ class JiffyMap {
 
   // ---- reclamation (DESIGN.md §9) -----------------------------------------
 
+  // The merge path runs purge() once the dead shells not yet retired reach
+  // one eighth of the live nodes, and never fewer than 64: the linked
+  // garbage a descent may pass stays a bounded share of the list at every
+  // map size.
+  static constexpr std::size_t purge_trigger(std::size_t live_nodes) {
+    return std::max<std::size_t>(64, live_nodes / 8);
+  }
+
   // Physically reclaim merge tombstones no reader can need: a shell is
   // eligible once its kAbsorbed marker is stamped below the oldest active
   // version ticket (snapshots, cursors, in-flight scans — see
@@ -1066,14 +1074,21 @@ class JiffyMap {
   // node to the left, which is exactly the node this walk remembers.
   std::pair<Node*, Rev*> locate(const K& k, const ebr::Guard& g) const
       JIFFY_REQUIRES_GUARD(g) {
+    // Descent counts, flushed to the obs counters on every 64th call per
+    // thread (DESIGN.md §15.1); dead code under JIFFY_OBS=0.
+    const bool sampled = obs::sample_tick();
+    [[maybe_unused]] std::uint32_t anchor_loads = 0, passed = 0, tombs = 0;
     for (;;) {
       Node* x = head_;
-      for (int l = Node::kMaxHeight - 1; l >= 1; --l) {
+      for (int l = top_level(); l >= 1; --l) {
         for (Node* nxt =
                  x->next(l).load(std::memory_order_acquire);  // pairs: next-link
-             nxt && !less_(k, nxt->anchor);
-             nxt = x->next(l).load(std::memory_order_acquire))  // pairs: next-link
+             nxt;
+             nxt = x->next(l).load(std::memory_order_acquire)) {  // pairs: next-link
+          ++anchor_loads;
+          if (less_(k, nxt->anchor)) break;
           x = nxt;
+        }
         // Foresight (DESIGN.md §14): the next hop reads the same tower slot
         // one level down — warm its target's header while this level's loop
         // bookkeeping retires, hiding the dependent miss of the descent.
@@ -1098,10 +1113,10 @@ class JiffyMap {
       }
       if (r->sibling) ensure_link(x, r, g);
       Node* live = x;
-      for (Node* cur =
-               live->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
-           cur && !less_(k, cur->anchor);
-           cur = cur->next(0).load(std::memory_order_seq_cst)) {  // pairs: next-link
+      // The successor the walk saw for `live`, checked again below.
+      Node* live_next =
+          live->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
+      for (Node* cur = live_next; cur && !less_(k, cur->anchor);) {
         // Foresight: overlap the next node's header miss with this node's
         // revision inspection (the revision pointer chase below).
         // relaxed: prefetch address only, never dereferenced here; the loop
@@ -1109,8 +1124,17 @@ class JiffyMap {
         prefetch_ro(cur->next(0).load(std::memory_order_relaxed));
         Rev* rc = cur->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
         if (rc->sibling) ensure_link(cur, rc, g);
-        if (!dead(rc)) live = cur;
+        Node* nxt = cur->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
+        ++passed;
+        if (dead(rc)) {
+          ++tombs;
+        } else {
+          live = cur;
+          live_next = nxt;
+        }
+        cur = nxt;
       }
+      sched::point(sched::Point::kLocateHead);
       // Re-read the chosen head: if the node died or split since we passed
       // it, the routing decision may be stale — retry from the top.
       Rev* now = live->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
@@ -1120,6 +1144,17 @@ class JiffyMap {
         Node* nxt =
             live->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
         if (nxt && !less_(k, nxt->anchor)) continue;  // sibling owns k
+      } else if (live->next(0).load(std::memory_order_seq_cst) !=  // pairs: next-link
+                 live_next) {
+        // The node split (and was rewritten, dropping the sibling pointer)
+        // since the walk passed it: k may have moved right.
+        continue;
+      }
+      if (sampled) {
+        JIFFY_COUNT(descent_sampled);
+        JIFFY_COUNT_N(descent_anchor_loads, anchor_loads);
+        JIFFY_COUNT_N(descent_level0_passed, passed);
+        JIFFY_COUNT_N(descent_tombstones_passed, tombs);
       }
       // Warm the inline entry array (begin() is pointer arithmetic off the
       // already-loaded revision pointer): every caller searches it next.
@@ -1136,7 +1171,7 @@ class JiffyMap {
       JIFFY_REQUIRES_GUARD(g) {
     g.assert_held();
     Node* x = head_;
-    for (int l = Node::kMaxHeight - 1; l >= 0; --l) {
+    for (int l = top_level(); l >= 0; --l) {
       for (Node* nxt =
                x->next(l).load(std::memory_order_acquire);  // pairs: next-link
            nxt && !less_(k, nxt->anchor);
@@ -1492,6 +1527,9 @@ class JiffyMap {
     sched::point(sched::Point::kSplitStamp);
     rlow->stamp(clock_.read());
     JIFFY_COUNT(split);
+    // relaxed: purge-trigger estimate (see maybe_merge).
+    live_nodes_.fetch_add(static_cast<std::int64_t>(new_nodes.size()),
+                          std::memory_order_relaxed);
     const std::uint64_t b_v =
         cell->version.load(std::memory_order_seq_cst);  // pairs: version-stamp
     for (Node* m : new_nodes) {
@@ -1589,13 +1627,16 @@ class JiffyMap {
     Rev::unref(rx);
     Rev::unref(rs);
     release_cell(cell);
-    // relaxed: purge-trigger estimate; crossing the threshold late or twice
+    // relaxed: purge-trigger estimates; crossing the trigger late or twice
     // is harmless (purge() self-serializes on purging_).
-    dead_shells_.fetch_add(1, std::memory_order_relaxed);
+    const std::int64_t live =
+        live_nodes_.fetch_sub(1, std::memory_order_relaxed) - 1;
+    // relaxed: same advisory estimate as the live count above.
+    const std::int64_t dead =
+        dead_shells_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (cfg_.reclaim.auto_purge &&
-        // relaxed: same advisory threshold check as the bump above.
-        dead_shells_.load(std::memory_order_relaxed) >=
-            static_cast<std::int64_t>(cfg_.reclaim.threshold))
+        dead >= static_cast<std::int64_t>(purge_trigger(
+                    static_cast<std::size_t>(std::max<std::int64_t>(live, 0)))))
       purge();
   }
 
@@ -1818,7 +1859,7 @@ class JiffyMap {
                  const ebr::VersionTicket& tk) const
       JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
     Node* x = head_;
-    for (int l = Node::kMaxHeight - 1; l >= 1; --l) {
+    for (int l = top_level(); l >= 1; --l) {
       for (Node* cur =
                x->next(l).load(std::memory_order_acquire);  // pairs: next-link
            cur && !less_(from, cur->anchor);
@@ -1973,7 +2014,7 @@ class JiffyMap {
   // way so the fringe is reachable); seeds seek_to_last.
   Node* rightmost(const ebr::Guard& g) const JIFFY_REQUIRES_GUARD(g) {
     Node* x = head_;
-    for (int l = Node::kMaxHeight - 1; l >= 1; --l)
+    for (int l = top_level(); l >= 1; --l)
       for (Node* nxt =
                x->next(l).load(std::memory_order_acquire);  // pairs: next-link
            nxt;
@@ -2010,15 +2051,32 @@ class JiffyMap {
     return h;
   }
 
+  // Highest tower level any descent needs to start from: top_ only grows
+  // (index_insert raises it before linking a taller node), and a descent
+  // that starts lower than the tallest node is still correct — every level
+  // is a complete list from the head — so a stale read costs only hops.
+  int top_level() const {
+    // relaxed: advisory start level, see above.
+    return top_.load(std::memory_order_relaxed);
+  }
+
   // Link a freshly split node into tower levels 1..height-1. Only its
   // creator calls this; towers are insert-only so a plain CAS per level
   // suffices.
   void index_insert(Node* m, [[maybe_unused]] const ebr::Guard& g)
       JIFFY_REQUIRES_GUARD(g) {
+    // relaxed: top_ is advisory (top_level()); the CAS only keeps it
+    // monotone, and its failure writeback reloads the expected value.
+    int t = top_.load(std::memory_order_relaxed);
+    while (t < m->height - 1 &&
+           !top_.compare_exchange_weak(
+               t, m->height - 1,
+               std::memory_order_relaxed)) {  // relaxed: advisory top level
+    }
     for (int l = 1; l < m->height; ++l) {
       for (;;) {
         Node* pred = head_;
-        for (int dl = Node::kMaxHeight - 1; dl >= l; --dl) {
+        for (int dl = top_level(); dl >= l; --dl) {
           for (Node* nxt =
                    pred->next(dl).load(std::memory_order_acquire);  // pairs: next-link
                nxt && less_(nxt->anchor, m->anchor);
@@ -2047,12 +2105,16 @@ class JiffyMap {
   // members above (head_, cfg_); see DESIGN.md §14 for the per-op budget.
   StripedCounter<kCounterShards> size_;
   Node* head_;
+  std::atomic<int> top_{0};  // see top_level(); read by every descent
 
   // Reclamation state (purge()). purge_pending_ and purge_epoch_ are owned
   // by whichever thread holds purging_.
   CachePadded<std::atomic<std::int64_t>>
       dead_shells_pad_;  // kAbsorbed shells not retired
   std::atomic<std::int64_t>& dead_shells_ = dead_shells_pad_.value;
+  CachePadded<std::atomic<std::int64_t>>
+      live_nodes_pad_;  // linked nodes that own a range, besides the head
+  std::atomic<std::int64_t>& live_nodes_ = live_nodes_pad_.value;
   CachePadded<std::atomic<std::uint64_t>> purged_total_pad_;
   std::atomic<std::uint64_t>& purged_total_ = purged_total_pad_.value;
   CachePadded<std::atomic<bool>> purging_pad_;
@@ -2202,20 +2264,14 @@ class SnapCursor {
   // any node to its right; invalidate when none exists.
   void land_forward(Node* x, const K* bound, bool inclusive)
       JIFFY_REQUIRES(guard_, ticket_) {
-    auto el = [this](const Entry& e, const K& k) {
-      return map_->less_(e.first, k);
-    };
-    auto le = [this](const K& k, const Entry& e) {
-      return map_->less_(k, e.first);
-    };
     for (; x;
          x = x->next(0).load(std::memory_order_seq_cst)) {  // pairs: next-link
       if (Rev* r = visible_head(x)) {
         std::uint32_t i = 0;
         if (bound) {
-          const Entry* it =
-              inclusive ? std::lower_bound(r->begin(), r->end(), *bound, el)
-                        : std::upper_bound(r->begin(), r->end(), *bound, le);
+          const Entry* it = inclusive
+                                ? r->lower_bound_pos(*bound, map_->less_)
+                                : r->upper_bound_pos(*bound, map_->less_);
           i = static_cast<std::uint32_t>(it - r->begin());
         }
         if (i < r->count) {
@@ -2231,19 +2287,13 @@ class SnapCursor {
   // any node to its left; invalidate when none exists.
   void land_backward(Node* x, const K* bound, bool inclusive)
       JIFFY_REQUIRES(guard_, ticket_) {
-    auto el = [this](const Entry& e, const K& k) {
-      return map_->less_(e.first, k);
-    };
-    auto le = [this](const K& k, const Entry& e) {
-      return map_->less_(k, e.first);
-    };
     for (; x; x = map_->pred_at(x, v_, guard_, ticket_)) {
       if (Rev* r = visible_head(x)) {
         std::uint32_t i = r->count;
         if (bound) {
-          const Entry* it =
-              inclusive ? std::upper_bound(r->begin(), r->end(), *bound, le)
-                        : std::lower_bound(r->begin(), r->end(), *bound, el);
+          const Entry* it = inclusive
+                                ? r->upper_bound_pos(*bound, map_->less_)
+                                : r->lower_bound_pos(*bound, map_->less_);
           i = static_cast<std::uint32_t>(it - r->begin());
         }
         if (i > 0) {

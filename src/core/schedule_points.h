@@ -53,6 +53,7 @@ enum class Point : unsigned {
   kMergeStamp,       // merge union in, cell not yet stamped
   kPurgeRetire,      // purge pass about to retire an unlinked shell
   kBatchLocate,      // batch watermark read, its group's node not yet located
+  kLocateHead,       // locate's level-0 walk chose a node, head not re-read
   kCount
 };
 
@@ -60,7 +61,7 @@ inline constexpr const char* kPointNames[] = {
     "plain_stamp",     "split_link",  "split_stamp",
     "batch_install",   "batch_watermark", "batch_stamp",
     "merge_marker",    "merge_stamp", "purge_retire",
-    "batch_locate"};
+    "batch_locate",    "locate_head"};
 
 inline constexpr unsigned kPointCount = static_cast<unsigned>(Point::kCount);
 

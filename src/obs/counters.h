@@ -61,6 +61,13 @@ enum class Ev : unsigned {
   block_cache_miss,         // cacheable size fell through to ::operator new
   split,                    // revision split committed
   merge,                    // node merge committed
+  // Tower descents (JiffyMap::locate), sampled 1 in 64 per thread; each
+  // sample adds its own counts, so ratios to descent_sampled are per-descent
+  // means.
+  descent_sampled,            // sampled descents
+  descent_anchor_loads,       // successor anchors loaded in the tower
+  descent_level0_passed,      // level-0 nodes walked past
+  descent_tombstones_passed,  // ... of which dead merge shells
   kCount
 };
 
@@ -70,7 +77,20 @@ inline constexpr const char* kEventNames[kEventCount] = {
     "cas_install_lost", "help_stamp",       "replay_group_claimed",
     "replay_group_duplicated", "purge_sweeps", "valve_donations",
     "block_cache_hit",  "block_cache_miss", "split",
-    "merge"};
+    "merge",            "descent_sampled",  "descent_anchor_loads",
+    "descent_level0_passed", "descent_tombstones_passed"};
+
+// True on every 64th call per thread: the sampling gate for counts taken on
+// every operation (the descent counters above). Always false under
+// JIFFY_OBS=0, so the sampled code folds away.
+inline bool sample_tick() {
+#if JIFFY_OBS
+  thread_local std::uint32_t tick = 0;
+  return (++tick & 63u) == 0;
+#else
+  return false;
+#endif
+}
 
 // One extra striped *max* gauge (not a sum): deepest EBR limbo bucket
 // observed by any thread. Kept out of Ev because its merge operator is max,

@@ -2,7 +2,8 @@
 # an --index= or --scenario= it does not run — exit 2, print nothing on
 # stdout, name the valid choices on stderr — reject an unknown flag or a
 # malformed number the same way with a usage line, and still run a valid
-# choice.
+# choice. The ablation ABL must reject a malformed --seconds=/--entries= the
+# same way, and still run when handed figure flags it does not read.
 set(tiny --seconds=0.01 --warmup=0 --entries=100 --threads=1 --no-batches)
 
 foreach(bad --index=k-ary --index=lf-list --index= --scenario=f --scenario=ab)
@@ -37,4 +38,25 @@ execute_process(COMMAND ${FIG} --index=jiffy --scenario=a ${tiny}
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)
 if(NOT rc EQUAL 0 OR NOT out MATCHES ",a_update,simple,[^,]+,[^,]+,jiffy,1,")
   message(FATAL_ERROR "--index=jiffy --scenario=a: exit '${rc}':\n${out}")
+endif()
+
+foreach(bad --seconds=abc --entries=12x --seconds=-1 --entries=)
+  execute_process(COMMAND ${ABL} ${bad}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "ablation ${bad}: exit '${rc}', want 2")
+  endif()
+  if(NOT out STREQUAL "")
+    message(FATAL_ERROR "ablation ${bad}: wrote to stdout:\n${out}")
+  endif()
+  if(NOT err MATCHES "usage: ")
+    message(FATAL_ERROR "ablation ${bad}: stderr has no usage line:\n${err}")
+  endif()
+endforeach()
+
+execute_process(COMMAND ${ABL} --seconds=0.005 --entries=100 --index=jiffy
+                        --threads=1 --no-batches
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "ablation_clock,tsc,reads0%,1,")
+  message(FATAL_ERROR "ablation with figure flags: exit '${rc}':\n${out}")
 endif()

@@ -107,11 +107,15 @@ void test_revision_builder() {
   using Bld = RevisionBuilder<std::uint64_t, std::uint64_t>;
   const std::less<std::uint64_t> lt;
 
-  // Binary search is the only lookup: check lower_bound_pos and find_binary
-  // against std::lower_bound at every size from empty to past the
-  // autoscaler's largest target, so both the prefetching halving loop
-  // (n > 8) and the linear tail are covered. Keys are 3, 6, ..., 3n: every
-  // hit, every gap between entries, and the misses below and above.
+  // Binary search is the only lookup: check lower_bound_pos, upper_bound_pos
+  // and find_binary against std::lower_bound/upper_bound at every size from
+  // empty to past the autoscaler's largest target, so every window size the
+  // branchless halving loop narrows through is covered, odd and even, down
+  // to the final one-entry compare. Keys are 3, 6, ..., 3n: every hit,
+  // every gap between entries, and the misses below and above. Then again
+  // from every start position `lo` (splice() resumes each op's search past
+  // the previous op), probing the start entry's key, the gap below it and
+  // every hit and gap after it.
   for (std::uint32_t n = 0; n <= 300; ++n) {
     Bld b(RevKind::kPlain, n, /*version=*/1);
     std::vector<std::uint64_t> keys;
@@ -132,6 +136,18 @@ void test_revision_builder() {
                  static_cast<std::uint64_t>(want - keys.begin()) + 1);
       } else {
         CHECK(hit == nullptr);
+      }
+      const auto above = std::upper_bound(keys.begin(), keys.end(), probe);
+      CHECK_EQ(r->upper_bound_pos(probe, lt) - r->begin(),
+               above - keys.begin());
+    }
+    for (std::uint32_t lo = 0; lo <= n; ++lo) {
+      for (std::uint64_t probe = std::uint64_t{lo} * 3 + 1;
+           probe <= std::uint64_t{n} * 3 + 4; ++probe) {
+        const auto want =
+            std::lower_bound(keys.begin() + lo, keys.end(), probe);
+        CHECK_EQ(r->lower_bound_pos(probe, lt, r->begin() + lo) - r->begin(),
+                 want - keys.begin());
       }
     }
     Rev::unref(r, /*immediate=*/true);

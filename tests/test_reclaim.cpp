@@ -135,14 +135,13 @@ void auto_purge_bounds_growth() {
   cfg.autoscaler.enabled = false;
   cfg.autoscaler.fixed_size = 8;
   cfg.reclaim.auto_purge = true;
-  cfg.reclaim.threshold = 64;
   Map map(cfg);
 
   constexpr std::uint64_t kN = 512;
   for (std::uint64_t k = 0; k < kN; ++k) map.put(k, k);
   // ~50k ops of merge-heavy churn; the merge path must keep triggering
-  // purge so linked garbage stays near the threshold instead of growing
-  // with total churn.
+  // purge so linked garbage stays near the trigger (64 shells at this
+  // map's ~100 nodes) instead of growing with total churn.
   for (std::uint64_t round = 1; round <= 50; ++round) churn_wave(map, kN, round);
 
   auto stats = map.debug_stats();
@@ -150,7 +149,7 @@ void auto_purge_bounds_growth() {
               stats.tombstone_count,
               static_cast<unsigned long long>(stats.purged_total));
   CHECK(stats.purged_total > 0);  // the trigger actually fired
-  CHECK(stats.tombstone_count < 2 * cfg.reclaim.threshold + 64);
+  CHECK(stats.tombstone_count < 2 * Map::purge_trigger(stats.node_count) + 64);
 
   for (int i = 0; i < 6; ++i) map.purge();
   stats = map.debug_stats();

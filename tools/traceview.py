@@ -36,6 +36,7 @@ POINT_NAMES = [
     "plain_stamp", "split_link", "split_stamp",
     "batch_install", "batch_watermark", "batch_stamp",
     "merge_marker", "merge_stamp", "purge_retire", "batch_locate",
+    "locate_head",
 ]
 
 
