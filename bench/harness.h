@@ -678,11 +678,14 @@ void run_index(const RunConfig& cfg, const char* name) {
             "{\"node_count\":%zu,\"entry_count\":%zu,"
             "\"avg_revision_size\":%.2f,\"target_revision_size\":%u,"
             "\"read_fraction_ema\":%.3f,\"tombstone_count\":%zu,"
-            "\"dead_shell_estimate\":%zu,\"purged_total\":%llu}",
+            "\"dead_shell_estimate\":%zu,\"purged_total\":%llu,"
+            "\"revision_bytes\":%zu,\"revision_slack_bytes\":%zu,"
+            "\"node_bytes\":%zu}",
             ds.node_count, ds.entry_count, ds.avg_revision_size,
             ds.target_revision_size, ds.read_fraction_ema, ds.tombstone_count,
             ds.dead_shell_estimate,
-            static_cast<unsigned long long>(ds.purged_total));
+            static_cast<unsigned long long>(ds.purged_total),
+            ds.revision_bytes, ds.revision_slack_bytes, ds.node_bytes);
         map_json = buf;
       }
       append_metrics_cell(cfg, name, threads, r, delta, map_json);

@@ -121,6 +121,15 @@ void preload_small(SmallMap& m) {
     m.put(small_key(i), static_cast<std::uint32_t>(i));
 }
 
+// Bytes the map's linked revision and node blocks hold per key (the
+// debug_stats() accounting of DESIGN.md §14.3).
+double bytes_per_key(const SmallMap& m) {
+  const auto s = m.debug_stats();
+  return s.entry_count ? static_cast<double>(s.revision_bytes + s.node_bytes) /
+                             static_cast<double>(s.entry_count)
+                       : 0;
+}
+
 // Overwrites of preloaded keys: the map keeps its preload shape, so every
 // iteration is one descent, one revision rebuild, install and retire.
 void BM_JiffyPut(benchmark::State& state) {
@@ -129,6 +138,7 @@ void BM_JiffyPut(benchmark::State& state) {
   Rng rng(3);
   for (auto _ : state)
     m.put(small_key(rng.next_below(kSmallSpace / 2) * 2), 1);
+  state.counters["bytes_per_key"] = bytes_per_key(m);
 }
 BENCHMARK(BM_JiffyPut);
 
@@ -145,6 +155,7 @@ void BM_JiffyPutFixed(benchmark::State& state) {
     benchmark::DoNotOptimize(
         m.put(small_key(rng.next_below(kSmallSpace / 2) * 2), 1));
   state.counters["avg_revision"] = m.debug_stats().avg_revision_size;
+  state.counters["bytes_per_key"] = bytes_per_key(m);
 }
 BENCHMARK(BM_JiffyPutFixed)->Arg(32)->Arg(128)->Arg(224);
 

@@ -10,11 +10,14 @@
 // recently freed* block straight back to the next build: no allocator
 // metadata work, no arena hops, and the best chance the lines are still warm.
 //
-// Size classes are a 256-byte grid up to 16 KB; bigger blocks bypass the
-// cache entirely. The cache holds at most kMaxCachedBytes per thread and
-// frees everything at thread exit. Under ASan/TSan the cache compiles to the
-// plain allocator so use-after-free and race detection keep their precision
-// (a recycled block would otherwise hide UAF from ASan's quarantine).
+// Size classes are a 32-byte grid fitted to glibc's chunks, which are
+// 16-byte aligned and carry an 8-byte size word: class c holds blocks of
+// 32(c + 1) - 8 bytes, so a block fills its chunk and wastes less than one
+// granule on the caller's request. Blocks above 16 KB - 8 bytes bypass the
+// cache entirely. The cache holds at most kMaxCachedBytes per thread and frees
+// everything at thread exit. Under ASan/TSan the cache compiles to the plain
+// allocator so use-after-free and race detection keep their precision (a
+// recycled block would otherwise hide UAF from ASan's quarantine).
 #pragma once
 
 #include <cstddef>
@@ -39,24 +42,27 @@ namespace jiffy {
 
 class ThreadBlockCache {
  public:
-  static constexpr std::size_t kGranularity = 256;
-  static constexpr std::size_t kMaxBlockBytes = 16 * 1024;
-  static constexpr std::size_t kClasses = kMaxBlockBytes / kGranularity;
-  static constexpr std::size_t kMaxCachedBytes = 64 * 1024;
+  static constexpr std::size_t kGranularity = 32;
+  static constexpr std::size_t kChunkHeader = 8;  // the allocator's size word
+  static constexpr std::size_t kMaxBlockBytes = 16 * 1024 - kChunkHeader;
+  static constexpr std::size_t kClasses =
+      (kMaxBlockBytes + kChunkHeader) / kGranularity;
+  static constexpr std::size_t kMaxCachedBytes = 256 * 1024;
 
   // Size the allocation will actually get: rounded up to its class when the
-  // cache may serve it, untouched when it bypasses. Callers must free with
-  // the same value they allocated with.
+  // cache may serve it, untouched when it bypasses. Idempotent, and callers
+  // must free with the same value they allocated with.
   static std::size_t usable_size(std::size_t bytes) {
     if (!JIFFY_BLOCK_CACHE_ENABLED || bytes > kMaxBlockBytes) return bytes;
-    return (bytes + kGranularity - 1) & ~(kGranularity - 1);
+    return ((bytes + kChunkHeader + kGranularity - 1) & ~(kGranularity - 1)) -
+           kChunkHeader;
   }
 
   // `bytes` must come from usable_size().
   static void* allocate(std::size_t bytes) {
     if (JIFFY_BLOCK_CACHE_ENABLED && bytes <= kMaxBlockBytes) {
       ThreadBlockCache& c = mine();
-      const std::size_t idx = bytes / kGranularity - 1;
+      const std::size_t idx = class_of(bytes);
       if (FreeBlock* b = c.heads_[idx]) {
         c.heads_[idx] = b->next;
         c.cached_bytes_ -= bytes;
@@ -80,7 +86,7 @@ class ThreadBlockCache {
     if (JIFFY_BLOCK_CACHE_ENABLED && bytes <= kMaxBlockBytes) {
       ThreadBlockCache& c = mine();
       if (c.cached_bytes_ + bytes <= kMaxCachedBytes) {
-        const std::size_t idx = bytes / kGranularity - 1;
+        const std::size_t idx = class_of(bytes);
         auto* b = static_cast<FreeBlock*>(p);
         b->next = c.heads_[idx];
         c.heads_[idx] = b;
@@ -90,6 +96,9 @@ class ThreadBlockCache {
     }
     ::operator delete(p);
   }
+
+  // Bytes parked in the calling thread's cache.
+  static std::size_t cached_bytes() { return mine().cached_bytes_; }
 
   ~ThreadBlockCache() {
     for (FreeBlock*& head : heads_) {
@@ -106,8 +115,14 @@ class ThreadBlockCache {
   struct FreeBlock {
     FreeBlock* next;
   };
-  static_assert(kGranularity >= sizeof(FreeBlock),
+  static_assert(kGranularity - kChunkHeader >= sizeof(FreeBlock),
                 "free-list link must fit in the smallest class");
+
+  // Class of a usable_size() value: 24 -> 0, 56 -> 1, ..., kMaxBlockBytes
+  // -> kClasses - 1.
+  static std::size_t class_of(std::size_t bytes) {
+    return (bytes + kChunkHeader) / kGranularity - 1;
+  }
 
   static ThreadBlockCache& mine() {
     thread_local ThreadBlockCache cache;

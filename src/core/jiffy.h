@@ -160,28 +160,42 @@ struct JiffyNode;
 // Entries live *inline*, directly after the struct in the same allocation
 // (one less indirection per read): allocate() sizes the block, the builder
 // placement-constructs entries, and the class-scope operator delete keeps
-// plain `delete` (and EBR's deleter) freeing the whole block.
+// plain `delete` (and EBR's deleter) freeing the whole block. The header is
+// 56 bytes (DESIGN.md §1), so a merge marker is a header-only 56-byte block.
 template <class K, class V>
 struct Revision {
   using Entry = std::pair<K, V>;
 
+  // kind and count lead: with version and cell they are what every lookup
+  // of the revision reads, so they share its first 24 bytes.
   RevKind kind = RevKind::kPlain;
+  std::uint32_t count = 0;           // constructed entries in the inline array
   std::atomic<std::uint64_t> version{kPendingVersion};
   VersionCell* cell = nullptr;       // shared version (splits/batches/merges)
   Revision* prev = nullptr;          // the revision this one replaced
   JiffyNode<K, V>* sibling = nullptr;    // split: first new right-hand node
-  JiffyNode<K, V>* link_expect = nullptr;  // split: next(0) value to CAS from
-  JiffyNode<K, V>* home = nullptr;   // kAbsorbed: the node that absorbed us
-  std::uint32_t count = 0;           // constructed entries in the inline array
+  // One word that at most one kind of revision uses (DESIGN.md §1): a
+  // non-null `sibling`, `kind` or the batch's own `cell` says which member
+  // was written, and only that one is read.
+  union {
+    // Part 0 of a split (sibling != nullptr): next(0) value to CAS from.
+    JiffyNode<K, V>* link_expect = nullptr;
+    // kAbsorbed: the node that absorbed this one.
+    JiffyNode<K, V>* home;
+    // kBatch: end (excl.) of the op group this revision applied — lets
+    // helpers tell "group installed, watermark lagging" from "earlier group
+    // stacked here by a tombstone re-route"; as wide as
+    // BatchDescriptor::installed so huge batches cannot wrap it.
+    std::size_t batch_hi;
+  };
   std::uint32_t cap = 0;             // inline array capacity (allocation size)
   std::uint32_t alloc_bytes = 0;  // block size allocate() drew, for dispose()
-  std::size_t batch_hi = 0;          // kBatch: end (excl.) of the op group
-                                     // this revision applied — lets helpers
-                                     // tell "group installed, watermark
-                                     // lagging" from "earlier group stacked
-                                     // here by a tombstone re-route"; same
-                                     // width as BatchDescriptor::installed
-                                     // so huge batches cannot wrap it
+
+  // Bytes the header and the constructed entries occupy: alloc_bytes less
+  // this is the block's slack (JiffyMap::debug_stats).
+  std::size_t used_bytes() const {
+    return entry_offset() + std::size_t{count} * sizeof(Entry);
+  }
 
   static constexpr std::size_t entry_offset() {
     return (sizeof(Revision) + alignof(Entry) - 1) / alignof(Entry) *
@@ -421,6 +435,46 @@ void splice(const Revision<K, V>& r, std::span<const BatchOp<K, V>> ops,
   out.append(it, r.end());
 }
 
+// Splice sink that records a rewrite instead of performing it: the runs of
+// the old revision to copy and the entries to write, in order, and how many
+// entries they make. A batch group sizes its revision from the count, then
+// replays the script into the builder without searching again.
+template <class K, class V>
+struct ScriptSink {
+  using Entry = std::pair<K, V>;
+  struct Step {
+    const Entry* first;  // a run [first, last) to copy, or null for an entry
+    const Entry* last;
+    const K* key;
+    const V* value;
+  };
+  std::vector<Step> steps;
+  std::uint32_t n = 0;
+
+  void append(const Entry* first, const Entry* last) {
+    if (first == last) return;
+    steps.push_back({first, last, nullptr, nullptr});
+    n += static_cast<std::uint32_t>(last - first);
+  }
+  void emit(const K& k, const V& v) {
+    steps.push_back({nullptr, nullptr, &k, &v});
+    ++n;
+  }
+  template <class Sink>
+  void replay(Sink& out) const {
+    for (const Step& s : steps) {
+      if (s.first)
+        out.append(s.first, s.last);
+      else
+        out.emit(*s.key, *s.value);
+    }
+  }
+  void clear() {
+    steps.clear();
+    n = 0;
+  }
+};
+
 // Splice sink for a split: cuts the rebuilt entry stream into consecutive
 // revisions, one builder per part, each sized up front and filled in turn,
 // so every run is copied once, in one append per part it spans.
@@ -470,7 +524,9 @@ struct JiffyNode {
   using Link = std::atomic<JiffyNode*>;
   static constexpr int kMaxHeight = 20;
 
-  const int height;
+  // One byte, so a 4-byte anchor packs into the header's first word and a
+  // 4-byte-key node header is 32 B (DESIGN.md §1).
+  const std::uint8_t height;
   const bool is_head;
   // Set (once, never cleared) by the purge pass on a dead tombstone it is
   // about to unlink: writers that could otherwise re-publish a link to the
@@ -519,7 +575,12 @@ struct JiffyNode {
   }
 
   JiffyNode(int h, bool head, K a)
-      : height(h), is_head(head), anchor(std::move(a)) {}
+      : height(static_cast<std::uint8_t>(h)),
+        is_head(head),
+        anchor(std::move(a)) {
+    static_assert(kMaxHeight <= 255, "height is stored in one byte");
+    assert(h >= 1 && h <= kMaxHeight);
+  }
 };
 
 struct JiffyConfig {
@@ -1001,6 +1062,14 @@ class JiffyMap {
     std::size_t tombstone_count = 0;  // stamped kAbsorbed shells still linked
     std::size_t dead_shell_estimate = 0;  // merge victims not yet retired
     std::uint64_t purged_total = 0;  // shells reclaimed over the lifetime
+    // Bytes the linked structure holds (DESIGN.md §14.3), over every linked
+    // node, the head and tombstones included: the blocks of their head
+    // revisions, the part of those blocks that neither the header nor an
+    // entry uses (total and largest single block), and the node blocks.
+    std::size_t revision_bytes = 0;
+    std::size_t revision_slack_bytes = 0;
+    std::size_t max_revision_slack_bytes = 0;
+    std::size_t node_bytes = 0;
   };
 
   DebugStats debug_stats() const {
@@ -1014,6 +1083,11 @@ class JiffyMap {
     // relaxed: lifetime statistic; no ordering with other state needed.
     s.purged_total = purged_total_.load(std::memory_order_relaxed);
     for_each_level0([&](Node* x, Rev* r) {
+      const std::size_t slack = r->alloc_bytes - r->used_bytes();
+      s.revision_bytes += r->alloc_bytes;
+      s.revision_slack_bytes += slack;
+      s.max_revision_slack_bytes = std::max(s.max_revision_slack_bytes, slack);
+      s.node_bytes += Node::block_bytes(x->height);
       if (r->kind == RevKind::kAbsorbed) {
         if (r->version_now() != kPendingVersion) ++s.tombstone_count;
       } else if (!x->is_head || r->count != 0) {
@@ -1289,6 +1363,7 @@ class JiffyMap {
                  const ebr::Guard& g) JIFFY_REQUIRES_GUARD(g) {
     const std::vector<BatchOp<K, V>>& sops = d->ops;
     std::vector<Rev*> replaced;
+    ScriptSink<K, V> script;  // reused by every group this call builds
     std::int64_t delta = 0;
     SpinBackoff backoff;
     for (;;) {
@@ -1339,9 +1414,12 @@ class JiffyMap {
       std::size_t j = i + 1;
       while (j < sops.size() && (!nxt || less_(sops[j].key, nxt->anchor))) ++j;
       sched::point(sched::Point::kBatchInstall);
-      Builder b(RevKind::kBatch,
-                static_cast<std::uint32_t>(r->count + (j - i)));
-      splice(*r, std::span(sops).subspan(i, j - i), less_, b);
+      // Overwrites and erases leave fewer entries than r->count plus the
+      // group's ops: script the rewrite first to size the revision exactly.
+      script.clear();
+      splice(*r, std::span(sops).subspan(i, j - i), less_, script);
+      Builder b(RevKind::kBatch, script.n);
+      script.replay(b);
       Rev* nr = b.finish();
       nr->cell = cell;
       // relaxed: pre-publication refcount bump; the install CAS publishes.

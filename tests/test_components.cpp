@@ -1,12 +1,13 @@
 // Unit checks for the supporting subsystems: clocks, RNG + distributions,
 // key/value codecs, FixedBytes ordering, revision builder + binary search,
 // the splice rewrite and its part sink, the node block layout, the
-// thread-local block cache, EBR, and the CSLM baseline (sequential and a
-// short 4-thread shake).
+// thread-local block cache and the fit of revision blocks, EBR, and the CSLM
+// baseline (sequential and a short 4-thread shake).
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <thread>
@@ -283,39 +284,183 @@ void test_node_block() {
   check_node_block(KeyCodec<Key16>::encode(3, 100));
 }
 
+// The cache runs on a fresh thread, so its thread-local lists start empty
+// whatever the earlier checks parked on the main thread.
 void test_block_cache() {
   using C = ThreadBlockCache;
-  // Oversized blocks always bypass the cache: size passes through unchanged.
-  const std::size_t big = C::kMaxBlockBytes + 1;
-  CHECK_EQ(C::usable_size(big), big);
-  void* d = C::allocate(big);
-  CHECK(d != nullptr);
-  C::deallocate(d, big);
-
-  const std::size_t u = C::usable_size(100);
-  if (u == 100) {
-    // Cache compiled out (sanitizer build): allocate/deallocate must still
-    // pair up as the plain allocator.
-    void* p = C::allocate(u);
-    CHECK(p != nullptr);
-    C::deallocate(p, u);
-    return;
+  // usable_size never shrinks a request and is idempotent: a revision's
+  // alloc_bytes may be passed back through it.
+  for (std::size_t n = 0; n <= C::kMaxBlockBytes + 64; ++n) {
+    const std::size_t u = C::usable_size(n);
+    CHECK(u >= n);
+    CHECK_EQ(C::usable_size(u), u);
   }
+  std::thread([] {
+    // Oversized blocks always bypass the cache: the size passes through
+    // unchanged and freeing one parks nothing.
+    const std::size_t big = C::kMaxBlockBytes + 1;
+    CHECK_EQ(C::usable_size(big), big);
+    void* d = C::allocate(big);
+    CHECK(d != nullptr);
+    C::deallocate(d, big);
+    CHECK_EQ(C::cached_bytes(), std::size_t{0});
 
-  // Enabled: sizes round up to the 256-byte class grid...
-  CHECK_EQ(u, std::size_t{256});
-  CHECK_EQ(C::usable_size(300), std::size_t{512});
-  // ...and the most recently freed block of a class is served first (LIFO),
-  // which is the whole point: the warmest lines go to the next build.
-  void* a = C::allocate(u);
-  C::deallocate(a, u);
-  void* b = C::allocate(u);
-  CHECK_EQ(b, a);
-  // A different class cannot alias a block still parked in the cache.
-  C::deallocate(b, u);
-  void* c = C::allocate(C::usable_size(300));
-  CHECK(c != b);
-  C::deallocate(c, C::usable_size(300));
+    if (!JIFFY_BLOCK_CACHE_ENABLED) {
+      // Cache compiled out (sanitizer build): sizes are exact and
+      // allocate/deallocate pair up as the plain allocator.
+      CHECK_EQ(C::usable_size(100), std::size_t{100});
+      void* p = C::allocate(100);
+      CHECK(p != nullptr);
+      C::deallocate(p, 100);
+      CHECK_EQ(C::cached_bytes(), std::size_t{0});
+      return;
+    }
+
+    // Every cacheable request wastes less than one granule, and a class
+    // fills its allocator chunk: 32(c + 1) - 8 bytes.
+    for (std::size_t n = 1; n <= C::kMaxBlockBytes; ++n) {
+      const std::size_t u = C::usable_size(n);
+      CHECK(u - n < C::kGranularity);
+      CHECK_EQ((u + C::kChunkHeader) % C::kGranularity, std::size_t{0});
+    }
+    CHECK_EQ(C::usable_size(56), std::size_t{56});  // a merge marker
+    CHECK_EQ(C::usable_size(C::kMaxBlockBytes), C::kMaxBlockBytes);
+
+    // The most recently freed block of a class is served first (LIFO),
+    // which is the whole point: the warmest lines go to the next build.
+    const std::size_t u = C::usable_size(456);
+    void* a = C::allocate(u);
+    void* b = C::allocate(u);
+    C::deallocate(a, u);
+    C::deallocate(b, u);
+    CHECK_EQ(C::cached_bytes(), 2 * u);
+    CHECK(C::allocate(u) == b);
+    CHECK(C::allocate(u) == a);
+    CHECK_EQ(C::cached_bytes(), std::size_t{0});
+
+    // Neighbouring classes never alias a block parked in another one.
+    C::deallocate(a, u);
+    const std::size_t below = C::usable_size(u - C::kGranularity);
+    const std::size_t above = C::usable_size(u + 1);
+    CHECK(below < u && above > u);
+    void* lo = C::allocate(below);
+    void* hi = C::allocate(above);
+    CHECK(lo != a && hi != a);
+    CHECK(C::allocate(u) == a);
+    C::deallocate(lo, below);
+    C::deallocate(hi, above);
+    C::deallocate(a, u);
+    C::deallocate(b, u);
+
+    // The cap: parking stops once the next block would pass it, and the
+    // blocks that did not fit went back to the allocator.
+    const std::size_t s = C::usable_size(1000);
+    std::vector<void*> blocks;
+    for (std::size_t i = 0; i < C::kMaxCachedBytes / s + 4; ++i)
+      blocks.push_back(C::allocate(s));
+    const std::size_t before = C::cached_bytes();
+    std::size_t parked = 0;
+    for (void* p : blocks) {
+      const std::size_t was = C::cached_bytes();
+      C::deallocate(p, s);
+      if (C::cached_bytes() == was + s) ++parked;
+      CHECK(C::cached_bytes() <= C::kMaxCachedBytes);
+    }
+    CHECK_EQ(parked, (C::kMaxCachedBytes - before) / s);
+    CHECK(C::cached_bytes() + s > C::kMaxCachedBytes);
+    // LIFO again: the last block that fit comes back first.
+    CHECK(C::allocate(s) == blocks[parked - 1]);
+    C::deallocate(blocks[parked - 1], s);
+  }).join();
+}
+
+// Every revision block is as big as its entries and no bigger. A scripted
+// run on a quiescent map (autoscaler off, revisions capped at 8 entries,
+// no purge) goes through an insert, an overwrite, an erase, a split, a
+// merge with its marker and two batches, one of whose groups overwrites
+// and erases. After each step the byte accounting of debug_stats() must
+// equal what the revision sizes predict, and no linked head revision may
+// sit a granule above its used bytes.
+template <class K, class V>
+void check_revision_fit() {
+  using Map = JiffyMap<K, V>;
+  using Rev = typename Map::Rev;
+  using Node = typename Map::Node;
+  using Entry = typename Map::Entry;
+  JiffyConfig cfg;
+  cfg.autoscaler.enabled = false;
+  cfg.autoscaler.fixed_size = 8;
+  cfg.reclaim.auto_purge = false;
+  Map m(cfg);
+  auto key = [](std::uint64_t i) { return KeyCodec<K>::encode(i, 1'000); };
+  // `revs` lists the entry count of every linked head revision, head first.
+  auto expect = [&](std::initializer_list<std::uint32_t> revs) {
+    const auto s = m.debug_stats();
+    std::size_t bytes = 0, slack = 0, worst = 0;
+    for (std::uint32_t n : revs) {
+      const std::size_t used = Rev::entry_offset() + n * sizeof(Entry);
+      const std::size_t block = ThreadBlockCache::usable_size(used);
+      bytes += block;
+      slack += block - used;
+      worst = std::max(worst, block - used);
+    }
+    CHECK_EQ(s.revision_bytes, bytes);
+    CHECK_EQ(s.revision_slack_bytes, slack);
+    CHECK_EQ(s.max_revision_slack_bytes, worst);
+    CHECK(s.max_revision_slack_bytes < ThreadBlockCache::kGranularity);
+    // Node blocks: the head's full tower, then 1..kMaxHeight slots each.
+    const std::size_t others = revs.size() - 1;
+    const std::size_t towers = s.node_bytes -
+                               Node::block_bytes(Node::kMaxHeight) -
+                               others * Node::tower_offset();
+    CHECK_EQ(towers % sizeof(typename Node::Link), std::size_t{0});
+    CHECK(towers >= others * sizeof(typename Node::Link));
+    CHECK(towers <= others * Node::kMaxHeight * sizeof(typename Node::Link));
+  };
+
+  expect({0});  // the empty head revision
+  m.put(key(10), V{});
+  expect({1});  // an insert
+  m.put(key(10), V{});
+  expect({1});  // an overwrite
+  m.put(key(20), V{});
+  CHECK(m.erase(key(20)));
+  expect({1});  // an erase
+  for (std::uint64_t i = 20; i <= 80; i += 10) m.put(key(i), V{});
+  expect({8});
+  m.put(key(90), V{});  // past the cap at the end: the dense 7 + 2 split
+  expect({7, 2});
+  for (std::uint64_t i = 10; i <= 40; i += 10) CHECK(m.erase(key(i)));
+  // 3 + 2 entries fit 7/10 of the cap: the head absorbed the successor,
+  // which is left as a header-only merge marker.
+  CHECK_EQ(m.debug_stats().tombstone_count, std::size_t{1});
+  expect({5, 0});
+  // A batch of one group below the marker's anchor: an insert, an
+  // overwrite, an erase and an erase of an absent key leave 5 entries.
+  Batch<K, V> b;
+  b.put(key(55), V{});
+  b.put(key(60), V{});
+  b.erase(key(70));
+  b.erase(key(75));
+  m.apply(std::move(b));
+  expect({5, 0});
+  // Keys past the marker's anchor route to the head one group at a time,
+  // each stacked on the previous group's revision.
+  Batch<K, V> b2;
+  b2.put(key(100), V{});
+  b2.put(key(110), V{});
+  m.apply(std::move(b2));
+  expect({7, 0});
+  CHECK_EQ(m.size_slow(), std::size_t{7});
+}
+
+void test_revision_fit() {
+  static_assert(sizeof(Revision<std::uint32_t, std::uint32_t>) <= 56,
+                "the revision header must stay within 56 bytes");
+  static_assert(JiffyNode<std::uint32_t, std::uint32_t>::tower_offset() == 32,
+                "a 4-byte-key node header is 32 bytes");
+  check_revision_fit<std::uint32_t, std::uint32_t>();  // perfbench's entries
+  check_revision_fit<Key16, Value100>();               // fig5's 116-B entries
 }
 
 void test_ebr() {
@@ -416,6 +561,7 @@ int main() {
   test_splice();
   test_node_block();
   test_block_cache();
+  test_revision_fit();
   test_ebr();
   test_cslm();
   std::puts("test_components OK");
