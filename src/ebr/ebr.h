@@ -17,8 +17,8 @@
 // only a release: a grace-period scan that sees the thread idle must also
 // see every read its guard made, and the seq_cst entry of the thread's next
 // guard restores the total order. Every atomic site below carries a
-// `pairs:`/`relaxed:` annotation checked by tools/atomic_audit.py against
-// the DESIGN.md §10 catalog.
+// `pairs:`/`relaxed:` annotation checked by tools/lint.py's audit pass
+// against the DESIGN.md §10 catalog.
 //
 // Beyond guards, this header tracks *versions*: a VersionTicket registers
 // the TSC version a reader is pinned at (a snapshot, a cursor, one scan),

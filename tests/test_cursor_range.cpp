@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "baselines/cslm.h"
-#include "baselines/lf_list.h"
 #include "core/jiffy.h"
 #include "tests/test_util.h"
 #include "workload/keyvalue.h"
@@ -416,8 +415,6 @@ int main() {
   test_backward_snapshot_stability();
   check_map_surface<Map>("jiffy");
   check_map_surface<baselines::CslmMap<std::uint64_t, std::uint64_t>>("cslm");
-  check_map_surface<baselines::LfList<std::uint64_t, std::uint64_t>>(
-      "lf-list");
   std::puts("test_cursor_range OK");
   return 0;
 }

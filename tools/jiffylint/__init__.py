@@ -1,7 +1,8 @@
-"""jiffylint — protocol-level static analysis for the Jiffy engine.
+"""jiffylint — concurrency static analysis for the Jiffy engine.
 
-Four passes over the sources (DESIGN.md §11), layered on top of the
-memory-order audit in tools/atomic_audit.py:
+Five passes over the sources (DESIGN.md §10–§11). Each file is read and its
+atomic sites are scanned once per run (textscan.SourceFile); every pass
+works from that one scan.
 
   guard     guard-escape / lifetime: a raw node or revision pointer obtained
             inside an ebr::Guard scope (local RAII guard or a
@@ -23,9 +24,13 @@ memory-order audit in tools/atomic_audit.py:
             release→acquire graph must be connected and acyclic, no acquire
             side may dereference a field no release edge publishes, and
             source sites must match their tag's declared direction.
+  audit     memory-order audit: every atomic site names its order, relaxed
+            sites carry `// relaxed: <why>`, release/acquire sites carry a
+            `// pairs: <tag>` that pairs up in the catalog, and no atomic is
+            touched through an operator.
 
-Entry point: tools/lint.py (runs these passes plus atomic_audit behind one
-CLI, text mode by default, clang AST cross-check with --compdb).
+Entry point: tools/lint.py (text mode by default; --compdb adds the clang
+AST cross-check of astmode.py, one TU dump per run).
 """
 
-PASS_NAMES = ("guard", "retire", "cas", "pubgraph")
+PASS_NAMES = ("guard", "retire", "cas", "pubgraph", "audit")

@@ -30,13 +30,10 @@ from .textscan import Finding
 from .pubgraph import parse_direction
 
 CAS_RE = re.compile(r"[\w\]\)](?:\.|->)\s*compare_exchange_(weak|strong)\s*\(")
-ORDER_SEQ_RE = re.compile(r"memory_order(?:::|_)([a-z_]+)")
 CONTINUE_RE = re.compile(r"(^|[^\w])continue\s*;")
 
 ORDER_RANK = {"relaxed": 0, "consume": 1, "acquire": 2, "release": 2,
               "acq_rel": 3, "seq_cst": 4}
-RELEASE_CAPABLE = {"release", "acq_rel", "seq_cst"}
-ACQUIRE_CAPABLE = {"acquire", "consume", "acq_rel", "seq_cst"}
 IDENT_RE = re.compile(r"^\s*&?\s*(\w+)\s*$")
 
 
@@ -75,11 +72,11 @@ def reassigned_in(src, name, lo, hi):
     return False
 
 
-def run(files, catalog, check_coverage=True):
+def run(sources, catalog, check_coverage=True):
     pairs_catalog = catalog.get("pairs", {})
     findings = []
-    for path in files:
-        src = textscan.SourceFile(path)
+    for src in sources:
+        path = src.path
         for idx, code in enumerate(src.code_lines):
             for m in CAS_RE.finditer(code):
                 strength = m.group(1)
@@ -90,7 +87,7 @@ def run(files, catalog, check_coverage=True):
                         (open_col if i == idx else 0):
                         (scol + 1 if i == send else None)]
                     for i in range(idx, send + 1))
-                orders = ORDER_SEQ_RE.findall(span)
+                orders = textscan.ORDER_RE.findall(span)
                 loop = src.loop_start(idx)
                 line = idx + 1
                 where = f"compare_exchange_{strength}"
@@ -149,13 +146,7 @@ def run(files, catalog, check_coverage=True):
 
                 # Tagged CAS: the success order must be able to supply the
                 # semantics the catalog assigns to CAS sites of this edge.
-                comments = src.comments_for(idx, send)
-                tags = []
-                for c in comments:
-                    tm = textscan.audit.PAIRS_RE.search(c)
-                    if tm:
-                        tags.extend(t.strip()
-                                    for t in tm.group(1).split(","))
+                tags = textscan.pairs_tags(src.comments_for(idx, send))
                 succ = orders[0] if orders else None
                 for t in tags:
                     entry = pairs_catalog.get(t)
@@ -165,7 +156,7 @@ def run(files, catalog, check_coverage=True):
                     if dirspec is None:
                         continue  # schema-missing: pubgraph's job
                     rel_ops, acq_ops = dirspec
-                    if "cas" in rel_ops and succ not in RELEASE_CAPABLE:
+                    if "cas" in rel_ops and succ not in textscan.RELEASE_ORDERS:
                         findings.append(Finding(
                             path, line, "cas-tag-order",
                             f"{where} tagged '{t}': catalog direction "
@@ -173,7 +164,7 @@ def run(files, catalog, check_coverage=True):
                             f"success order {succ} has no release "
                             f"semantics"))
                     elif "cas" in acq_ops and "cas" not in rel_ops and \
-                            succ not in ACQUIRE_CAPABLE:
+                            succ not in textscan.ACQUIRE_ORDERS:
                         findings.append(Finding(
                             path, line, "cas-tag-order",
                             f"{where} tagged '{t}': catalog direction "

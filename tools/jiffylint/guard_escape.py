@@ -31,7 +31,7 @@ from .textscan import Finding
 
 DEFAULT_PROTECTED_TYPES = (
     "JiffyNode", "Node", "Rev", "Revision", "Entry", "VersionCell",
-    "LfNode", "BatchDescriptor",
+    "BatchDescriptor",
 )
 
 MEMBER_STORE_RE = re.compile(r"(?:^|[^\w.>])(?:this->)?(\w+_)"
@@ -173,10 +173,9 @@ def scan(src, protected_types=None, list_regions=False):
     return findings
 
 
-def run(files, catalog, list_regions=False):
+def run(sources, catalog, list_regions=False):
     protected = catalog.get("protected_types") or DEFAULT_PROTECTED_TYPES
     findings = []
-    for path in files:
-        findings.extend(scan(textscan.SourceFile(path), protected,
-                             list_regions))
+    for src in sources:
+        findings.extend(scan(src, protected, list_regions))
     return findings

@@ -1,7 +1,7 @@
 """Pass 4 — publication-graph verification.
 
-The pairing audit (atomic_audit.py) proves every `pairs:` tag has both a
-release and an acquire side. That is necessary but not sufficient: a tag
+The audit pass (audit.py) proves every `pairs:` tag has both a release
+and an acquire side. That is necessary but not sufficient: a tag
 can pair up and still be wrong — the acquire side may dereference a field
 no release edge ever published, the catalog may claim a direction the code
 does not implement, or an object's edges may form a cycle or fall apart
@@ -37,7 +37,7 @@ Checks:
 import re
 
 from . import textscan
-from .textscan import Finding, audit
+from .textscan import Finding
 
 OP_CLASSES = {"store", "cas", "rmw", "fence", "load"}
 DIRECTION_RE = re.compile(r"^\s*([a-z, ]+?)\s*->\s*([a-z, ]+?)\s*$")
@@ -62,9 +62,9 @@ def parse_direction(spec):
 def op_class(site):
     if site.op == "fence":
         return "fence"
-    if site.op in audit.READ_OPS:
+    if site.op in textscan.READ_OPS:
         return "load"
-    if site.op in audit.WRITE_OPS:
+    if site.op in textscan.WRITE_OPS:
         return "store"
     if site.op.startswith("compare_exchange"):
         return "cas"
@@ -170,11 +170,10 @@ def catalog_findings(catalog, catalog_path, check_coverage=True):
     return findings, valid
 
 
-def site_findings(files, valid):
+def site_findings(sources, valid):
     findings = []
-    for path in files:
-        sites, _f = audit.scan_file(path)
-        for s in sites:
+    for src in sources:
+        for s in src.sites:
             for t in s.tags:
                 entry = valid.get(t)
                 if entry is None:
@@ -195,8 +194,8 @@ def site_findings(files, valid):
     return findings
 
 
-def run(files, catalog, check_coverage=True):
+def run(sources, catalog, check_coverage=True):
     catalog_path = catalog.get("__path__", "memory_model.json")
     findings, valid = catalog_findings(catalog, catalog_path, check_coverage)
-    findings.extend(site_findings(files, valid))
+    findings.extend(site_findings(sources, valid))
     return findings

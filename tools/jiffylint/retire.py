@@ -33,7 +33,7 @@ import os
 import re
 
 from . import textscan
-from .textscan import Finding, audit
+from .textscan import Finding
 
 RETIRE_RE = re.compile(r"\bebr::retire(?:_fn)?\s*\(|\bretire_shell\s*\(")
 EBR_IMPL_DIR = os.path.join("src", "ebr")
@@ -63,7 +63,7 @@ def retire_sites(src):
     return out
 
 
-def run(files, catalog, check_coverage=True):
+def run(sources, catalog, check_coverage=True):
     unlink_catalog = catalog.get("unlink", {})
     pairs_catalog = catalog.get("pairs", {})
     findings = []
@@ -71,22 +71,17 @@ def run(files, catalog, check_coverage=True):
 
     # Release-capable pairs sites in the scanned sources, per tag — the
     # ground truth that a via edge actually exists in the code.
-    release_tags = set()
-    for path in files:
-        sites, _f = audit.scan_file(path)
-        for s in sites:
-            if s.release_side:
-                release_tags.update(s.tags)
+    release_tags = {t for src in sources for s in src.sites
+                    if s.release_side for t in s.tags}
 
-    for path in files:
-        if is_ebr_impl(path):
+    for src in sources:
+        if is_ebr_impl(src.path):
             continue
-        src = textscan.SourceFile(path)
         for idx, tags, _send in retire_sites(src):
             line = idx + 1
             if not tags:
                 findings.append(Finding(
-                    path, line, "unjustified-retire",
+                    src.path, line, "unjustified-retire",
                     "retire call without '// unlink: <tag>' naming the "
                     "unlink CAS / condemn marker that dominates it "
                     "(catalog: tools/memory_model.json `unlink`)"))
@@ -96,19 +91,19 @@ def run(files, catalog, check_coverage=True):
                 entry = unlink_catalog.get(t)
                 if entry is None:
                     findings.append(Finding(
-                        path, line, "unknown-unlink-tag",
+                        src.path, line, "unknown-unlink-tag",
                         f"unlink tag '{t}' is not in the catalog "
                         f"(tools/memory_model.json `unlink`)"))
                     continue
                 for via in entry.get("via", []):
                     if via not in pairs_catalog:
                         findings.append(Finding(
-                            path, line, "unlink-bad-ref",
+                            src.path, line, "unlink-bad-ref",
                             f"unlink tag '{t}' references pairs tag "
                             f"'{via}' which is not in the catalog"))
                     elif via not in release_tags:
                         findings.append(Finding(
-                            path, line, "unlink-missing-edge",
+                            src.path, line, "unlink-missing-edge",
                             f"unlink tag '{t}' claims dominance via "
                             f"'{via}', but no release site of that edge "
                             f"exists in the scanned sources"))

@@ -1,19 +1,18 @@
-"""CLI/orchestration for jiffylint + atomic_audit (see tools/lint.py)."""
+"""CLI/orchestration for the jiffylint passes (see tools/lint.py)."""
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 
-from . import PASS_NAMES, astmode, cas_hygiene, guard_escape, pubgraph, retire
-from .textscan import REPO_ROOT, audit
+from . import (PASS_NAMES, astmode, audit, cas_hygiene, guard_escape,
+               pubgraph, retire, textscan)
 
 PASS_RUNNERS = {
     "guard": guard_escape.run,
     "retire": retire.run,
     "cas": cas_hygiene.run,
     "pubgraph": pubgraph.run,
+    "audit": audit.run,
 }
 
 
@@ -24,42 +23,21 @@ def load_catalog(path):
     return catalog
 
 
-def run_audit_subprocess(roots, catalog_path, no_coverage, compdb, ast_tu):
-    """atomic_audit keeps its own CLI contract; drive it as a subprocess and
-    fold its findings into ours."""
-    cmd = [sys.executable, os.path.join(REPO_ROOT, "tools", "atomic_audit.py"),
-           "--catalog", catalog_path]
-    if no_coverage:
-        cmd.append("--no-coverage")
-    if compdb:
-        cmd.extend(["--compdb", compdb, "--ast-tu", ast_tu])
-    cmd.extend(roots)
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode == 2:
-        sys.stderr.write(proc.stderr)
-        sys.exit(2)
-    lines = [l for l in proc.stdout.splitlines() if l.strip()]
-    return lines, proc.returncode
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="lint.py",
-        description="Concurrency lint driver: the jiffylint protocol passes "
+        description="Concurrency lint driver: the jiffylint passes "
                     "(guard-escape, retire-after-unlink, CAS hygiene, "
-                    "publication graph) plus the atomics memory-order audit, "
-                    "behind one CLI. Exit 0 clean, 1 findings, 2 environment "
-                    "error.")
+                    "publication graph, memory-order audit) behind one CLI. "
+                    "Exit 0 clean, 1 findings, 2 environment error.")
     ap.add_argument("roots", nargs="*",
                     help="files/dirs to lint (default: src bench/harness.h)")
-    ap.add_argument("--catalog", default=audit.DEFAULT_CATALOG,
+    ap.add_argument("--catalog", default=textscan.DEFAULT_CATALOG,
                     help="memory-model catalog JSON "
                          "(default: tools/memory_model.json)")
     ap.add_argument("--passes", default=",".join(PASS_NAMES),
                     help=f"comma list from {{{','.join(PASS_NAMES)}}} "
                          f"(default: all)")
-    ap.add_argument("--no-audit", action="store_true",
-                    help="skip the atomic_audit subprocess (fixture runs)")
     ap.add_argument("--no-coverage", action="store_true",
                     help="skip catalog-coverage checks (partial scans)")
     ap.add_argument("--compdb", metavar="BUILD_DIR",
@@ -82,37 +60,31 @@ def main(argv=None):
         return 2
 
     catalog = load_catalog(args.catalog)
-    roots = args.roots or audit.DEFAULT_ROOTS
-    files = audit.collect_files(roots)
+    files = textscan.collect_files(args.roots or textscan.DEFAULT_ROOTS)
+    # One scan per file per run: every pass reads these SourceFiles.
+    sources = [textscan.SourceFile(p) for p in files]
 
     if args.list_regions:
-        guard_escape.run(files, catalog, list_regions=True)
+        guard_escape.run(sources, catalog, list_regions=True)
         return 0
 
     findings = []
     counts = {}
     for p in passes:
         if p == "guard":
-            got = guard_escape.run(files, catalog)
+            got = guard_escape.run(sources, catalog)
         else:
-            got = PASS_RUNNERS[p](files, catalog,
+            got = PASS_RUNNERS[p](sources, catalog,
                                   check_coverage=not args.no_coverage)
         counts[p] = len(got)
         findings.extend(got)
 
     if args.compdb:
-        got = astmode.run(files, args.compdb, args.ast_tu)
+        got = astmode.run(sources, args.compdb, args.ast_tu)
         counts["ast"] = len(got)
         findings.extend(got)
 
-    lines = [str(f) for f in findings]
-    if not args.no_audit:
-        audit_lines, audit_rc = run_audit_subprocess(
-            roots, args.catalog, args.no_coverage, args.compdb, args.ast_tu)
-        counts["audit"] = len(audit_lines)
-        lines.extend(audit_lines)
-
-    lines.sort()
+    lines = sorted(str(f) for f in findings)
     for l in lines:
         print(l)
     summary = (f"lint: {len(lines)} finding(s) in {len(files)} files ("

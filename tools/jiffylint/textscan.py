@@ -1,10 +1,19 @@
 """Shared text-scan machinery for the jiffylint passes.
 
-Reuses tools/atomic_audit.py for the pieces that must stay consistent with
-the audit (comment stripping, the comment-attachment rule, call-span
-tracking, file collection, Finding formatting) and adds what the protocol
-passes need on top: brace-scope tracking, guard-region discovery, loop
+One SourceFile per scanned file holds everything the passes read: the raw
+and comment-stripped lines, brace-depth geometry, and the file's atomic
+sites, found once per run. Here also live the pieces every pass must agree
+on: comment stripping, the comment-attachment rule, call-span tracking,
+file collection and the `path:line: [kind] message` Finding format. On top
+of them sit what the protocol passes need: guard-region discovery, loop
 detection and protected-pointer tracking.
+
+Comment attachment rule (keep in sync with DESIGN.md §10): a `pairs:`,
+`relaxed:`, `unlink:` or `escapes:` comment binds to a site (an atomic
+operation, a retire call, an escaping statement) if it trails any line of
+the site's span (from the line naming the operation through the line of
+its closing parenthesis), or sits in the block of consecutive comment-only
+lines immediately above the statement containing the site.
 
 Everything here is line-based and heuristic by design — the clang AST mode
 (astmode.py) cross-checks that the text scan does not miss sites.
@@ -14,14 +23,181 @@ import os
 import re
 import sys
 
-TOOLS_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-if TOOLS_DIR not in sys.path:
-    sys.path.insert(0, TOOLS_DIR)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+DEFAULT_ROOTS = ["src", os.path.join("bench", "harness.h")]
+DEFAULT_CATALOG = os.path.join(REPO_ROOT, "tools", "memory_model.json")
+SOURCE_EXTS = (".h", ".hpp", ".cpp", ".cc")
 
-import atomic_audit as audit  # noqa: E402
+# Member operations of std::atomic<T> the scan recognises. wait/notify and
+# atomic_flag's test* family are not used in this repo; extend if they appear.
+READ_OPS = {"load"}
+WRITE_OPS = {"store"}
+RMW_OPS = {
+    "exchange",
+    "compare_exchange_strong",
+    "compare_exchange_weak",
+    "fetch_add",
+    "fetch_sub",
+    "fetch_and",
+    "fetch_or",
+    "fetch_xor",
+}
+ALL_OPS = READ_OPS | WRITE_OPS | RMW_OPS
 
-Finding = audit.Finding
-REPO_ROOT = audit.REPO_ROOT
+OP_RE = re.compile(r"(?:\.|->)(" + "|".join(sorted(ALL_OPS)) + r")\s*\(")
+FENCE_RE = re.compile(r"\batomic_(?:thread|signal)_fence\s*\(")
+ORDER_RE = re.compile(r"memory_order(?:::|_)([a-z_]+)")
+PAIRS_RE = re.compile(r"pairs:\s*([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)")
+RELAXED_NOTE_RE = re.compile(r"relaxed:")
+
+ACQUIRE_ORDERS = {"acquire", "consume", "acq_rel", "seq_cst"}
+RELEASE_ORDERS = {"release", "acq_rel", "seq_cst"}
+
+
+class Finding:
+    def __init__(self, path, line, kind, message):
+        self.path = path
+        self.line = line
+        self.kind = kind
+        self.message = message
+
+    def __str__(self):
+        rel = os.path.relpath(self.path, REPO_ROOT)
+        return f"{rel}:{self.line}: [{self.kind}] {self.message}"
+
+
+def pairs_tags(comments):
+    """The `pairs:` tags named in a site's attached comments."""
+    tags = []
+    for c in comments:
+        m = PAIRS_RE.search(c)
+        if m:
+            tags.extend(t.strip() for t in m.group(1).split(","))
+    return tags
+
+
+class Site:
+    """One atomic operation: location, kind, orders, attached comments."""
+
+    def __init__(self, path, line, op, recv, orders, comments):
+        self.path = path
+        self.line = line
+        self.op = op
+        self.recv = recv
+        self.orders = orders
+        self.tags = pairs_tags(comments)
+        self.justified_relaxed = any(RELAXED_NOTE_RE.search(c) for c in comments)
+
+    @property
+    def kind(self):
+        if self.op in READ_OPS:
+            return "read"
+        if self.op in WRITE_OPS:
+            return "write"
+        if self.op == "fence":
+            return "fence"
+        return "rmw"
+
+    @property
+    def acquire_side(self):
+        return self.kind in ("read", "rmw", "fence") and bool(
+            self.orders & ACQUIRE_ORDERS)
+
+    @property
+    def release_side(self):
+        return self.kind in ("write", "rmw", "fence") and bool(
+            self.orders & RELEASE_ORDERS)
+
+    @property
+    def relaxed_only(self):
+        return self.orders == {"relaxed"}
+
+
+def strip_comments_line(line):
+    """Remove a trailing // comment, ignoring // inside string literals."""
+    out = []
+    in_str = None
+    i = 0
+    while i < len(line):
+        ch = line[i]
+        if in_str:
+            if ch == "\\":
+                out.append(line[i:i + 2])
+                i += 2
+                continue
+            if ch == in_str:
+                in_str = None
+            out.append(ch)
+        else:
+            if ch in "\"'":
+                in_str = ch
+                out.append(ch)
+            elif ch == "/" and line[i:i + 2] == "//":
+                break
+            else:
+                out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+def line_comment(line):
+    code = strip_comments_line(line)
+    rest = line[len(code):]
+    return rest.strip() if rest.strip().startswith("//") else ""
+
+
+def is_comment_only(line):
+    return line.strip().startswith("//")
+
+
+def statement_start(code_lines, idx):
+    """Walk up from line idx to the first line of the enclosing statement."""
+    while idx > 0:
+        prev = code_lines[idx - 1].rstrip()
+        if not prev.strip():
+            break
+        if is_comment_only(prev):
+            break
+        if prev.endswith((";", "{", "}", ":", ")")) and not prev.endswith("::"):
+            # `)` ends for(...)/if(...) headers; treat as a boundary too.
+            break
+        idx -= 1
+    return idx
+
+
+def attached_comments(raw_lines, code_lines, start_idx, end_idx):
+    """Comments bound to the call span [start_idx, end_idx] (module doc)."""
+    comments = []
+    for i in range(start_idx, min(end_idx + 1, len(raw_lines))):
+        c = line_comment(raw_lines[i])
+        if c:
+            comments.append(c)
+    stmt = statement_start(code_lines, start_idx)
+    j = stmt - 1
+    block = []
+    while j >= 0 and is_comment_only(raw_lines[j]):
+        block.append(raw_lines[j].strip())
+        j -= 1
+    comments.extend(reversed(block))
+    return comments
+
+
+def collect_files(roots):
+    files = []
+    for r in roots:
+        p = r if os.path.isabs(r) else os.path.join(REPO_ROOT, r)
+        if os.path.isfile(p):
+            files.append(p)
+        elif os.path.isdir(p):
+            for dirpath, _dirs, names in os.walk(p):
+                for n in sorted(names):
+                    if n.endswith(SOURCE_EXTS):
+                        files.append(os.path.join(dirpath, n))
+        else:
+            print(f"lint: no such path: {r}", file=sys.stderr)
+            sys.exit(2)
+    return files
 
 ESCAPES_RE = re.compile(r"escapes:\s*\S")
 ESCAPES_MACRO_RE = re.compile(r"\bJIFFY_LINT_ESCAPES\s*\(")
@@ -39,14 +215,36 @@ LOOP_HEADER_RE = re.compile(r"(^|[^\w])(for|while|do)($|[^\w])")
 
 
 class SourceFile:
-    """One scanned file: raw/code lines plus brace-depth geometry."""
+    """One scanned file: raw/code lines, brace-depth geometry and its atomic
+    sites."""
 
     def __init__(self, path):
         self.path = path
         with open(path, encoding="utf-8") as f:
             self.raw_lines = f.read().splitlines()
-        self.code_lines = [audit.strip_comments_line(l) for l in self.raw_lines]
+        self.code_lines = [strip_comments_line(l) for l in self.raw_lines]
         self._depths()
+        self.sites = self._scan_sites()
+
+    def _scan_sites(self):
+        sites = []
+        for idx, code in enumerate(self.code_lines):
+            for m in list(OP_RE.finditer(code)) + list(FENCE_RE.finditer(code)):
+                if m.re is OP_RE:
+                    op = m.group(1)
+                    head = code[:m.start()].split()
+                    recv = (re.split(r"[^\w.\->\[\]_]", head[-1])[-1]
+                            if head else "") or "?"
+                else:
+                    op = "fence"
+                    recv = "fence"
+                open_col = code.index("(", m.end() - 1)
+                end_idx, _col = self.span_close(idx, open_col)
+                span_text = "\n".join(self.code_lines[idx:end_idx + 1])
+                orders = set(ORDER_RE.findall(span_text))
+                sites.append(Site(self.path, idx + 1, op, recv, orders,
+                                  self.comments_for(idx, end_idx)))
+        return sites
 
     def _scan_braces(self, line, depth):
         """Brace depth after `line`, skipping string and char literals."""
@@ -81,7 +279,7 @@ class SourceFile:
 
     def statement_text(self, idx, max_lines=8):
         """(start, end, joined code) of the statement containing line idx."""
-        start = audit.statement_start(self.code_lines, idx)
+        start = statement_start(self.code_lines, idx)
         end = idx
         while (end < len(self.code_lines) - 1 and end - start < max_lines
                and not self.code_lines[end].rstrip().endswith(
@@ -91,7 +289,7 @@ class SourceFile:
             self.code_lines[i].strip() for i in range(start, end + 1))
 
     def comments_for(self, start_idx, end_idx):
-        return audit.attached_comments(
+        return attached_comments(
             self.raw_lines, self.code_lines, start_idx, end_idx)
 
     def scope_end(self, decl_idx):
@@ -165,7 +363,7 @@ class SourceFile:
             if prev.endswith(")"):
                 _hs, _he, header = self.statement_text(stmt_start - 1)
                 if re.search(r"(^|[^\w])(for|while)\s*\(", header):
-                    return audit.statement_start(
+                    return statement_start(
                         self.code_lines, stmt_start - 1)
         # Walk up the scope openers.
         cur = self.pre_depth[idx]
@@ -221,7 +419,7 @@ def find_guard_regions(src):
             body = src.body_after(idx, m.end())
             if body is None:
                 continue
-            sig_start = audit.statement_start(src.code_lines, idx)
+            sig_start = statement_start(src.code_lines, idx)
             sig = " ".join(src.code_lines[i] for i in range(sig_start, idx + 1))
             pm = GUARD_PARAM_RE.search(sig)
             guard = pm.group(1) if pm else m.group(1)

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Unified concurrency lint driver (DESIGN.md §10–§11).
 
-Runs the four jiffylint protocol passes (guard-escape, retire-after-unlink,
-CAS hygiene, publication-graph verification) and the atomics memory-order
-audit behind one CLI:
+Runs the five jiffylint passes (guard-escape, retire-after-unlink, CAS
+hygiene, publication-graph verification, memory-order audit) behind one
+CLI, over one scan of each file:
 
   tools/lint.py                      # text mode over src/ + bench/harness.h
   tools/lint.py --compdb build-tsa   # + clang AST cross-checks

@@ -1,6 +1,6 @@
-// Audit fixture: a fully conforming file — run_audit_fixtures.py asserts the
-// audit reports ZERO findings for it. Scanned by tools/atomic_audit.py
-// against tools/tests/fixtures_model.json; never compiled.
+// Audit fixture: a fully conforming file — run_jiffylint_fixtures.py asserts
+// the audit pass reports ZERO findings for it. Scanned by `tools/lint.py
+// --passes audit` against tools/tests/fixtures_model.json; never compiled.
 #pragma once
 
 #include <atomic>

@@ -1,8 +1,8 @@
 // Audit fixture: every numbered site below is a known violation, and
-// run_audit_fixtures.py asserts the audit reports exactly these findings.
-// Scanned by tools/atomic_audit.py; never compiled. The comments here
-// deliberately avoid the literal justification keywords so they cannot
-// accidentally satisfy the audit.
+// run_jiffylint_fixtures.py asserts the audit pass reports exactly these
+// findings. Scanned by `tools/lint.py --passes audit`; never compiled. The
+// comments here deliberately avoid the literal justification keywords so
+// they cannot accidentally satisfy the audit.
 #pragma once
 
 #include <atomic>
@@ -39,6 +39,10 @@ struct Violations {
 
   // Site 7 (operator-form access, seq_cst by default).
   void bump() { counter++; }
+
+  // Site 8 (operator-form access through a reference to an atomic).
+  std::atomic<int>& alias = counter;
+  void reset() { alias = 0; }
 };
 
 }  // namespace fixture

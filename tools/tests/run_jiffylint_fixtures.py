@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Self-test for the tools/jiffylint protocol passes (via tools/lint.py).
+"""Self-test for the tools/jiffylint passes (via tools/lint.py).
 
-For each pass, runs the driver over a seeded-violation fixture with the
-violations catalog and asserts the EXACT (file, kind) finding set, then
-over the clean twin with the clean catalog and asserts zero findings and
-exit 0. Wired into ctest as a quick-label target (see tests/CMakeLists.txt).
+For each pass, runs the driver over a seeded-violation fixture and asserts
+the EXACT (file, kind) finding set, then over the clean twin and asserts
+zero findings and exit 0. The protocol passes use jiffylint_fixtures/ with
+the model_bad/model_clean catalogs; the audit uses fixtures/ with
+fixtures_model.json. It also checks the clang AST walk without clang: a
+hand-written dump (jiffylint_fixtures/ast_dump.json) must yield the exact
+sites and cross-check findings listed below. Wired into ctest as a
+quick-label target (see tests/CMakeLists.txt).
 
 Exit codes: 0 pass, 1 fail.
 """
 
+import json
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
@@ -20,12 +26,22 @@ LINT = os.path.join(REPO, "tools", "lint.py")
 FIXTURES = os.path.join(HERE, "jiffylint_fixtures")
 MODEL_BAD = os.path.join(FIXTURES, "model_bad.json")
 MODEL_CLEAN = os.path.join(FIXTURES, "model_clean.json")
+AUDIT_FIXTURES = os.path.join(HERE, "fixtures")
+AUDIT_MODEL = os.path.join(HERE, "fixtures_model.json")
+AST_SOURCE = os.path.join(FIXTURES, "ast_sites.h")
+AST_DUMP = os.path.join(FIXTURES, "ast_dump.json")
 
 FINDING_RE = re.compile(r"^(.*?):(\d+): \[([a-z-]+)\]")
 
-# pass -> (bad fixture, expected (basename, kind) list, clean twin)
+
+def protocol_row(bad, expected, clean):
+    return (["--catalog", MODEL_BAD, os.path.join(FIXTURES, bad)], expected,
+            ["--catalog", MODEL_CLEAN, os.path.join(FIXTURES, clean)])
+
+
+# pass -> (bad run args, expected (basename, kind) list, clean run args)
 CASES = {
-    "guard": (
+    "guard": protocol_row(
         "guard_bad.h",
         [
             ("guard_bad.h", "guard-escape"),
@@ -34,7 +50,7 @@ CASES = {
         ],
         "guard_clean.h",
     ),
-    "retire": (
+    "retire": protocol_row(
         "retire_bad.h",
         [
             ("retire_bad.h", "unjustified-retire"),
@@ -45,7 +61,7 @@ CASES = {
         ],
         "retire_clean.h",
     ),
-    "cas": (
+    "cas": protocol_row(
         "cas_bad.h",
         [
             ("cas_bad.h", "weak-outside-loop"),
@@ -58,7 +74,7 @@ CASES = {
         ],
         "cas_clean.h",
     ),
-    "pubgraph": (
+    "pubgraph": protocol_row(
         "pubgraph_bad.h",
         [
             ("model_bad.json", "schema-missing"),
@@ -71,13 +87,36 @@ CASES = {
         ],
         "pubgraph_clean.h",
     ),
+    "audit": (
+        ["--catalog", AUDIT_MODEL, AUDIT_FIXTURES],
+        [
+            ("violations.h", "implicit-order"),
+            ("violations.h", "unjustified-relaxed"),
+            ("violations.h", "missing-pairs"),
+            ("violations.h", "unknown-tag"),
+            ("violations.h", "orphan-release"),
+            ("violations.h", "unpaired-acquire"),
+            ("violations.h", "operator-form"),
+            ("violations.h", "operator-form"),
+            ("fixtures_model.json", "stale-catalog"),
+        ],
+        ["--catalog", AUDIT_MODEL, "--no-coverage",
+         os.path.join(AUDIT_FIXTURES, "clean.h")],
+    ),
 }
 
+# What the AST walk must collect from ast_dump.json: kind -> ast_sites.h
+# lines. Each member call sits on its operation token's line: also when the
+# call spans two lines (23), when clang elides its line because an earlier
+# sibling wrote it (24), and when it comes from a macro (26, the expansion).
+AST_SITES = {"atomic": [18, 20, 23, 24, 26], "cas": [20], "retire": [27],
+             "guard": [17]}
+AST_FINDINGS = [(26, "ast-missed")]
 
-def run_lint(passes, catalog, fixture):
+
+def run_lint(passes, args):
     return subprocess.run(
-        [sys.executable, LINT, "--no-audit", "--passes", passes,
-         "--catalog", catalog, os.path.join(FIXTURES, fixture)],
+        [sys.executable, LINT, "--passes", passes, *args],
         capture_output=True, text=True)
 
 
@@ -90,31 +129,54 @@ def parse(stdout):
     return sorted(out)
 
 
-def main():
+def check_ast_walk():
+    """The AST walk and cross-check over the hand-written dump (no clang)."""
+    sys.path.insert(0, os.path.join(REPO, "tools"))
+    from jiffylint import astmode, textscan
+
+    with open(AST_DUMP, encoding="utf-8") as f:
+        tree = json.load(f)
+    sites = astmode.collect_ast_sites(
+        tree, {os.path.realpath(AST_SOURCE)}, FIXTURES)
+    got = {k: sorted(line for _path, line in v) for k, v in sites.items()}
+    findings = sorted((f.line, f.kind) for f in astmode.cross_check(
+        [textscan.SourceFile(AST_SOURCE)], sites))
     ok = True
+    if got != AST_SITES:
+        print(f"FAIL [ast]: walk collected {got}, want {AST_SITES}")
+        ok = False
+    if findings != AST_FINDINGS:
+        print(f"FAIL [ast]: cross-check found {findings}, "
+              f"want {AST_FINDINGS}")
+        ok = False
+    return ok
+
+
+def main():
+    ok = check_ast_walk()
     for name, (bad, expected, clean) in CASES.items():
         expected = sorted(expected)
 
-        proc = run_lint(name, MODEL_BAD, bad)
+        proc = run_lint(name, bad)
         got = parse(proc.stdout)
         if proc.returncode != 1:
-            print(f"FAIL [{name}]: {bad} run exited {proc.returncode}, "
+            print(f"FAIL [{name}]: seeded run exited {proc.returncode}, "
                   f"want 1")
             print(proc.stdout, proc.stderr)
             ok = False
         if got != expected:
-            print(f"FAIL [{name}]: finding mismatch on {bad}")
-            for f in sorted(set(expected) - set(got)):
+            print(f"FAIL [{name}]: finding mismatch on the seeded run")
+            for f in sorted((Counter(expected) - Counter(got)).elements()):
                 print(f"  missing:    {f}")
-            for f in sorted(set(got) - set(expected)):
+            for f in sorted((Counter(got) - Counter(expected)).elements()):
                 print(f"  unexpected: {f}")
             print("--- lint output ---")
             print(proc.stdout)
             ok = False
 
-        cproc = run_lint(name, MODEL_CLEAN, clean)
+        cproc = run_lint(name, clean)
         if cproc.returncode != 0 or parse(cproc.stdout):
-            print(f"FAIL [{name}]: clean twin {clean} exited "
+            print(f"FAIL [{name}]: clean twin {clean[-1]} exited "
                   f"{cproc.returncode} with findings:\n{cproc.stdout}"
                   f"{cproc.stderr}")
             ok = False
@@ -122,7 +184,7 @@ def main():
     if ok:
         total = sum(len(e) for _b, e, _c in CASES.values())
         print(f"PASS: {total} expected findings across {len(CASES)} passes, "
-              f"clean twins clean")
+              f"clean twins clean, AST walk sites exact")
     return 0 if ok else 1
 
 
