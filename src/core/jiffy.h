@@ -113,15 +113,13 @@ enum class RevKind : std::uint8_t {
   kAbsorbed,  // tombstone marker: this node's content moved to rev->home
 };
 
-// Shared version for multi-revision atomic installs (splits and batches).
-// `helpable` distinguishes splits (fully published by one CAS, so any reader
-// may stamp) from batches (multi-CAS; only the batch writer stamps). A batch
-// cell additionally owns the published BatchDescriptor (type-erased here so
-// the cell stays untemplated); it is freed with the cell.
+// Shared version for multi-revision atomic installs (splits, merges and
+// batches). A batch cell additionally owns the published BatchDescriptor
+// (type-erased here so the cell stays untemplated); it is freed with the
+// cell.
 struct VersionCell {
   std::atomic<std::uint64_t> version{kPendingVersion};
   std::atomic<std::uint32_t> refs{0};
-  bool helpable = true;
   void* batch = nullptr;
   void (*batch_deleter)(void*) = nullptr;
 
@@ -518,7 +516,7 @@ struct PartSink {
 // with a tombstone's, or even grow when a merge victim's hint is later
 // retargeted at a resplit part, so termination must not be argued from
 // anchors.) The hint is not necessarily the immediate predecessor —
-// pred_at() re-validates with a forward walk and tightens it.
+// SnapPos::pred_at() re-validates with a forward walk and tightens it.
 template <class K, class V>
 struct JiffyNode {
   using Link = std::atomic<JiffyNode*>;
@@ -530,7 +528,7 @@ struct JiffyNode {
   const bool is_head;
   // Set (once, never cleared) by the purge pass on a dead tombstone it is
   // about to unlink: writers that could otherwise re-publish a link to the
-  // node check it first (install_split, pred_at). See DESIGN.md §9.
+  // node check it first (install_split, SnapPos::pred_at). See DESIGN.md §9.
   std::atomic<bool> condemned{false};
   const K anchor;
   std::atomic<Revision<K, V>*> rev{nullptr};
@@ -723,9 +721,6 @@ class RevisionAutoscaler {
 template <class MapT>
 class Snapshot;
 
-template <class MapT>
-class SnapCursor;
-
 template <class K, class V, class Less = std::less<K>, class Clock = TscClock>
 class JiffyMap {
  public:
@@ -912,7 +907,6 @@ class JiffyMap {
     auto* desc = new BatchDescriptor<K, V>;
     desc->ops = std::move(ops);
     auto* cell = new VersionCell;
-    cell->helpable = false;
     cell->batch = desc;
     cell->batch_deleter = &BatchDescriptor<K, V>::destroy;
     // The writer holds its own reference: a failed install CAS destroys the
@@ -931,14 +925,7 @@ class JiffyMap {
   template <class F>
   std::size_t scan_n(const K& from, std::size_t n, F&& f) const {
     scaler_.note(/*is_read=*/true, n ? n : 1);
-    ebr::Guard g;
-    g.assert_held();
-    ebr::VersionTicket t;  // sentinel lands before the clock read, so the
-                           // purge watermark cannot pass the pinned version
-    const std::uint64_t v = clock_.read();
-    t.publish(v);
-    t.assert_pinned();
-    return scan_at(from, n, v, std::forward<F>(f), g, t);
+    return snapshot().scan_n(from, n, std::forward<F>(f));
   }
 
   // Visit up to `n` entries with key <= from, in descending order, at one
@@ -946,26 +933,14 @@ class JiffyMap {
   template <class F>
   std::size_t rscan_n(const K& from, std::size_t n, F&& f) const {
     scaler_.note(/*is_read=*/true, n ? n : 1);
-    ebr::Guard g;
-    g.assert_held();
-    ebr::VersionTicket t;
-    const std::uint64_t v = clock_.read();
-    t.publish(v);
-    t.assert_pinned();
-    return rscan_at(from, n, v, std::forward<F>(f), g, t);
+    return snapshot().rscan_n(from, n, std::forward<F>(f));
   }
 
   // Visit every entry in the half-open range [lo, hi), in order, at one
   // consistent version. Returns the number visited.
   template <class F>
   std::size_t range_scan(const K& lo, const K& hi, F&& f) const {
-    ebr::Guard g;
-    g.assert_held();
-    ebr::VersionTicket t;
-    const std::uint64_t v = clock_.read();
-    t.publish(v);
-    t.assert_pinned();
-    const std::size_t n = range_at(lo, hi, v, std::forward<F>(f), g, t);
+    const std::size_t n = snapshot().range_scan(lo, hi, std::forward<F>(f));
     scaler_.note(/*is_read=*/true, n ? n : 1);
     return n;
   }
@@ -1110,7 +1085,7 @@ class JiffyMap {
  private:
   friend class Snapshot<JiffyMap>;
   template <class MapT>
-  friend class SnapCursor;
+  friend class SnapPos;
 
   // ---- location -----------------------------------------------------------
 
@@ -1456,9 +1431,9 @@ class JiffyMap {
 
   // Help stamp r if its linearization only misses the stamp itself; false
   // when r may still be rolled back or has installs outstanding. Cases:
-  //   * plain revisions and split parts (helpable cell): published by one
-  //     CAS, always stampable — and stamping them is part of the safety
-  //     argument (DESIGN.md §5);
+  //   * plain revisions and split parts: published by one CAS, always
+  //     stampable — and stamping them is part of the safety argument
+  //     (DESIGN.md §5);
   //   * batch revisions: stampable once the published BatchDescriptor
   //     reports ops fully installed. This closes a real atomicity hole: the
   //     batch writer reads its stamp timestamp before the stamp CAS, so a
@@ -1481,7 +1456,7 @@ class JiffyMap {
       JIFFY_COUNT(help_stamp);
       return true;
     }
-    if (!r->cell->helpable && r->kind == RevKind::kBatch) {
+    if (r->kind == RevKind::kBatch) {
       auto* d = static_cast<BatchDescriptor<K, V>*>(r->cell->batch);
       if (!d ||
           d->installed.load(std::memory_order_seq_cst) !=  // pairs: batch-watermark
@@ -1535,7 +1510,7 @@ class JiffyMap {
     }
     splice(*r, ops, less_, sink, at);
 
-    auto* cell = new VersionCell;  // helpable: one CAS publishes everything
+    auto* cell = new VersionCell;  // one CAS publishes every part
     std::vector<Rev*> parts;
     for (Builder& b : sink.parts) {
       parts.push_back(b.finish());
@@ -1647,7 +1622,6 @@ class JiffyMap {
     if (combined == 0 || combined > (target * 7) / 10) return;
 
     auto* cell = new VersionCell;
-    cell->helpable = false;
     // relaxed: the cell is thread-private until the marker CAS publishes.
     cell->refs.store(1, std::memory_order_relaxed);  // writer's reference
 
@@ -1880,233 +1854,6 @@ class JiffyMap {
     }
   }
 
-  // ---- versioned reads ----------------------------------------------------
-
-  // Newest revision in r's chain with version <= v. Helps stamp pending
-  // revisions whose linearization is complete (required for reclamation
-  // safety and batch/merge consistency, see try_help_stamp); pending
-  // half-installed batches are not yet linearized and are skipped.
-  Rev* visible_rev(Rev* r, std::uint64_t v, const ebr::Guard& g,
-                   [[maybe_unused]] const ebr::VersionTicket& tk) const
-      JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
-    while (r) {
-      // Foresight: the chain walk is a pointer chase — warm the predecessor
-      // header while this revision's version (a possible cell indirection)
-      // resolves. prev is immutable after publication, so the plain read is
-      // race-free and the hint is never stale.
-      prefetch_ro(r->prev);
-      std::uint64_t t = r->version_now();
-      if (t == kPendingVersion && try_help_stamp(r, g)) t = r->version_now();
-      if (t <= v) return r;  // pending (== ~0) is never <= v
-      r = r->prev;
-    }
-    return nullptr;
-  }
-
-  // Did node n hold its range at version v: born at or before v and not
-  // absorbed at v (a node dead at v moved its content into a node further
-  // left). One subtlety keeps this precise rather than conservative: a
-  // split part's birth stamp is stored only *after* the shared cell is
-  // stamped, so a node's entries can already be visible at v while its
-  // birth still reads pending — in that window, ask the revision chain
-  // itself (visible_rev is the ground truth scans use). Precision matters
-  // for the reverse walk: unlike a forward scan, which visits every linked
-  // node and lets visible_rev decide, pred_at uses this predicate to pick
-  // the nearest contributing node, and a miss there loses entries; the
-  // dead-at-v arm must stay exact too, or equal-anchor tombstone/rebirth
-  // chains would hide a live holder behind a dead one.
-  bool held_at(Node* n, std::uint64_t v, const ebr::Guard& g,
-               const ebr::VersionTicket& tk) const
-      JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
-    Rev* h = n->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
-    if (h->sibling) ensure_link(n, h, g);
-    if (h->kind == RevKind::kAbsorbed && h->version_now() <= v) return false;
-    const std::uint64_t b =
-        n->birth.load(std::memory_order_seq_cst);  // pairs: birth-stamp
-    if (b != kPendingVersion) return b <= v;
-    // birth stamp still propagating: ask the chain itself
-    return visible_rev(h, v, g, tk) != nullptr;
-  }
-
-  // Last node with anchor <= from that held its range at version v. Each
-  // tower level is walked past the nodes held_at rejects (linked merge
-  // tombstones, nodes born after v), and only a held node becomes the next
-  // level's start: dropping a level at the first rejected node would turn a
-  // seek among a few hundred linked tombstones into a level-0 walk.
-  Node* position(const K& from, std::uint64_t v, const ebr::Guard& g,
-                 const ebr::VersionTicket& tk) const
-      JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
-    Node* x = head_;
-    for (int l = top_level(); l >= 1; --l) {
-      for (Node* cur =
-               x->next(l).load(std::memory_order_acquire);  // pairs: next-link
-           cur && !less_(from, cur->anchor);
-           cur = cur->next(l).load(std::memory_order_acquire)) {  // pairs: next-link
-        if (held_at(cur, v, g, tk)) x = cur;
-      }
-      // Foresight: warm the next hop one level down (see locate()).
-      // relaxed: prefetch address only, never dereferenced; the traversal
-      // reload above carries the acquire edge.
-      prefetch_ro(x->next(l - 1).load(std::memory_order_relaxed));
-    }
-    // Level 0: nodes that held their ranges at v are in anchor order, but a
-    // node v cannot see may sit in front of one with a larger anchor (a
-    // part split off after v, linked ahead of a tombstone that was live at
-    // v), so only a held node past `from` ends the walk.
-    Node* best = x;
-    for (Node* cur = x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
-         cur; cur = cur->next(0).load(std::memory_order_seq_cst)) {  // pairs: next-link
-      if (!held_at(cur, v, g, tk)) continue;
-      if (less_(from, cur->anchor)) break;
-      best = cur;
-    }
-    return best;
-  }
-
-  // Consistent ordered visit of up to n entries >= from at version v.
-  // Split overlap (an old full revision plus a sibling's copy visible in the
-  // same window) is deduplicated by requiring strictly increasing keys.
-  template <class F>
-  std::size_t scan_at(const K& from, std::size_t n, std::uint64_t v, F&& f,
-                      const ebr::Guard& g, const ebr::VersionTicket& tk) const
-      JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
-    std::size_t emitted = 0;
-    const K* last = nullptr;
-    for (Node* x = position(from, v, g, tk); x && emitted < n;) {
-      // Foresight: the next node's header miss overlaps this node's
-      // revision-chain walk and entry emission.
-      // relaxed: prefetch address only, never dereferenced; the loop's
-      // paired seq_cst reload below is what the traversal follows.
-      prefetch_ro(x->next(0).load(std::memory_order_relaxed));
-      Rev* head = x->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
-      if (head->sibling) ensure_link(x, head, g);
-      if (Rev* r = visible_rev(head, v, g, tk)) {
-        const Entry* it = r->lower_bound_pos(from, less_);
-        for (; it != r->end() && emitted < n; ++it) {
-          if (last && !less_(*last, it->first)) continue;
-          f(it->first, it->second);
-          last = &it->first;
-          ++emitted;
-        }
-      }
-      x = x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
-    }
-    return emitted;
-  }
-
-  // Versioned point lookup: invoke f on k's entry at version v, if present
-  // (backs get_at and Snapshot::contains).
-  template <class F>
-  void with_entry_at(const K& k, std::uint64_t v, F&& f, const ebr::Guard& g,
-                     const ebr::VersionTicket& tk) const
-      JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
-    scan_at(
-        k, 1, v,
-        [&](const K& key, const V& val) {
-          if (!less_(k, key) && !less_(key, k)) f(key, val);
-        },
-        g, tk);
-  }
-
-  std::optional<V> get_at(const K& k, std::uint64_t v, const ebr::Guard& g,
-                          const ebr::VersionTicket& tk) const
-      JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
-    std::optional<V> out;
-    with_entry_at(
-        k, v, [&](const K&, const V& val) { out = val; }, g, tk);
-    return out;
-  }
-
-  // Consistent descending visit of up to n entries <= from at version v,
-  // driven by the reverse cursor (which walks the backward links).
-  // The guard/ticket parameters witness that v is still covered while the
-  // cursor (which then pins it itself) is constructed.
-  template <class F>
-  std::size_t rscan_at(const K& from, std::size_t n, std::uint64_t v, F&& f,
-                       [[maybe_unused]] const ebr::Guard& g,
-                       [[maybe_unused]] const ebr::VersionTicket& tk) const
-      JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
-    SnapCursor<JiffyMap> c(this, v);
-    std::size_t emitted = 0;
-    for (c.seek_for_prev(from); c.valid() && emitted < n; c.prev()) {
-      f(c.key(), c.value());
-      ++emitted;
-    }
-    return emitted;
-  }
-
-  // Consistent ordered visit of every entry in [lo, hi) at version v.
-  template <class F>
-  std::size_t range_at(const K& lo, const K& hi, std::uint64_t v, F&& f,
-                       [[maybe_unused]] const ebr::Guard& g,
-                       [[maybe_unused]] const ebr::VersionTicket& tk) const
-      JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
-    SnapCursor<JiffyMap> c(this, v);
-    std::size_t emitted = 0;
-    for (c.seek(lo); c.in_range_below(hi); c.next()) {
-      f(c.key(), c.value());
-      ++emitted;
-    }
-    return emitted;
-  }
-
-  // Nearest node left of x that held its range at version v (nullptr when x
-  // is the head). Backward links are hints that only promise a strict list
-  // predecessor (see JiffyNode::back), so: follow them to a node alive at
-  // v, then tighten with a forward walk — every node between the hint and x
-  // is on the level-0 chain because nodes are never physically unlinked.
-  // Reverse traversal therefore inherits the forward walk's
-  // version-visibility rules; the hints only buy locality.
-  Node* pred_at(Node* x, std::uint64_t v, const ebr::Guard& g,
-                const ebr::VersionTicket& tk) const
-      JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
-    if (x == head_) return nullptr;
-    Node* hint = x->back.load(std::memory_order_acquire);  // pairs: back-hint
-    Node* p = hint ? hint : head_;
-    while (p != head_ && !held_at(p, v, g, tk)) {
-      Node* q = p->back.load(std::memory_order_acquire);  // pairs: back-hint
-      p = q ? q : head_;
-    }
-    // Walk to x itself, not to its anchor: a node v cannot see may sit
-    // between p and x with an anchor at or above x's (see position()).
-    // While v is pinned the purge pass cannot unlink a node that held v,
-    // so the walk meets x; rightmost()'s tail, the one x that may not have
-    // held v, ends the list anyway.
-    Node* best = p;  // the head held every version; p held v by the loop
-    for (Node* cur = p->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
-         cur && cur != x;
-         cur = cur->next(0).load(std::memory_order_seq_cst)) {  // pairs: next-link
-      if (held_at(cur, v, g, tk)) best = cur;
-    }
-    // Tighten the hint — but never to a condemned node: the purge pass
-    // scrubs stale hints before retiring a shell, and a reader must not
-    // plant fresh ones behind its back (ticketed versions make `best`
-    // condemned only in the brief window before the condemn flag is seen).
-    if (best != hint &&
-        !best->condemned.load(std::memory_order_seq_cst))  // pairs: condemn-flag
-      x->back.store(best, std::memory_order_release);  // pairs: back-hint
-    return best;
-  }
-
-  // Rightmost node currently linked (completing pending split links on the
-  // way so the fringe is reachable); seeds seek_to_last.
-  Node* rightmost(const ebr::Guard& g) const JIFFY_REQUIRES_GUARD(g) {
-    Node* x = head_;
-    for (int l = top_level(); l >= 1; --l)
-      for (Node* nxt =
-               x->next(l).load(std::memory_order_acquire);  // pairs: next-link
-           nxt;
-           nxt = x->next(l).load(std::memory_order_acquire))  // pairs: next-link
-        x = nxt;
-    for (;;) {
-      Rev* r = x->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
-      if (r->sibling) ensure_link(x, r, g);
-      Node* nxt = x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
-      if (!nxt) return x;
-      x = nxt;
-    }
-  }
-
   // ---- misc ---------------------------------------------------------------
 
   std::uint32_t effective_max_size() const {
@@ -2201,347 +1948,6 @@ class JiffyMap {
   std::uint64_t purge_epoch_ = 0;
 };
 
-// A bidirectional, RocksDB-style cursor over one consistent version of a
-// JiffyMap. Normally obtained from a Snapshot (seek / seek_for_prev / first
-// / last); constructing one directly requires a version read under a live
-// EBR guard. The cursor holds its own (nested, refcounted) guard, so it
-// remains safe for its whole lifetime provided it is created while the
-// snapshot — or the guard the version was read under — is still alive: the
-// nested guard keeps this thread's epoch pinned continuously.
-//
-// Positioning: seek(k) lands on the first key >= k, seek_for_prev(k) on the
-// last key <= k, seek_to_first / seek_to_last on the extremes; next() and
-// prev() then step in either direction. Every landing obeys the TSC-version
-// visibility rules of forward scans: per node the newest revision with
-// version <= v (helping stamp pending plain revisions), nodes born after v
-// or absorbed at v contribute nothing, and the strict key bound on every
-// node hop deduplicates the transient split/merge overlap windows in both
-// directions. Reverse hops go through JiffyMap::pred_at (backward links).
-template <class MapT>
-class SnapCursor {
- public:
-  using K = typename MapT::key_type;
-  using V = typename MapT::mapped_type;
-
-  // The version must still be covered when a cursor is constructed (by the
-  // snapshot's ticket, or the scan guard+ticket it was read under): the
-  // cursor then pins it with its own ticket, keeping the purge watermark at
-  // or below v_ for the cursor's whole lifetime.
-  SnapCursor(const MapT* m, std::uint64_t version) : map_(m), v_(version) {
-    ticket_.publish(v_);
-  }
-
-  SnapCursor(const SnapCursor& o)
-      : map_(o.map_), v_(o.v_), node_(o.node_), rev_(o.rev_), idx_(o.idx_),
-        valid_(o.valid_) {
-    ticket_.publish(v_);
-  }
-
-  SnapCursor& operator=(const SnapCursor& o) {
-    map_ = o.map_;
-    v_ = o.v_;
-    node_ = o.node_;
-    rev_ = o.rev_;
-    idx_ = o.idx_;
-    valid_ = o.valid_;
-    ticket_.publish(v_);  // guard_ keeps its own pin; re-pin the version
-    return *this;
-  }
-
-  bool valid() const { return valid_; }
-  const K& key() const {
-    assert(valid_);
-    return rev_->entry(idx_).first;
-  }
-  const V& value() const {
-    assert(valid_);
-    return rev_->entry(idx_).second;
-  }
-  std::uint64_t version() const { return v_; }
-
-  // true while valid and ordered before `hi` — the half-open range test.
-  bool in_range_below(const K& hi) const {
-    return valid_ && map_->less_(key(), hi);
-  }
-
-  void seek(const K& k) {
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    land_forward(map_->position(k, v_, guard_, ticket_), &k,
-                 /*inclusive=*/true);
-  }
-
-  void seek_for_prev(const K& k) {
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    land_backward(map_->position(k, v_, guard_, ticket_), &k,
-                  /*inclusive=*/true);
-  }
-
-  void seek_to_first() {
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    land_forward(map_->head_, nullptr, true);
-  }
-
-  void seek_to_last() {
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    land_backward(map_->rightmost(guard_), nullptr, true);
-  }
-
-  void next() {
-    if (!valid_) return;  // stepping an invalid cursor is a no-op
-    // Entries are unique and sorted within a revision, so the next entry in
-    // this revision is the successor key; otherwise continue in later nodes
-    // excluding keys <= current (split-overlap dedup).
-    if (idx_ + 1 < rev_->count) {
-      ++idx_;
-      return;
-    }
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    const K cur = key();
-    land_forward(node_->next(0).load(std::memory_order_seq_cst),  // pairs: next-link
-                 &cur, /*inclusive=*/false);
-  }
-
-  void prev() {
-    if (!valid_) return;  // stepping an invalid cursor is a no-op
-    if (idx_ > 0) {
-      --idx_;
-      return;
-    }
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    const K cur = key();
-    land_backward(map_->pred_at(node_, v_, guard_, ticket_), &cur,
-                  /*inclusive=*/false);
-  }
-
- private:
-  using Node = typename MapT::Node;
-  using Rev = typename MapT::Rev;
-  using Entry = typename Rev::Entry;
-
-  void set(Node* x, Rev* r, std::uint32_t i) {
-    node_ = x;
-    rev_ = r;
-    idx_ = i;
-    valid_ = true;
-  }
-
-  // The node's visible revision at v (completing pending split links first).
-  Rev* visible_head(Node* x) const JIFFY_REQUIRES(guard_, ticket_) {
-    Rev* h = x->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
-    if (h->sibling) map_->ensure_link(x, h, guard_);
-    return map_->visible_rev(h, v_, guard_, ticket_);
-  }
-
-  // Land on the first visible entry >= *bound (> when !inclusive) in x or
-  // any node to its right; invalidate when none exists.
-  void land_forward(Node* x, const K* bound, bool inclusive)
-      JIFFY_REQUIRES(guard_, ticket_) {
-    for (; x;
-         x = x->next(0).load(std::memory_order_seq_cst)) {  // pairs: next-link
-      if (Rev* r = visible_head(x)) {
-        std::uint32_t i = 0;
-        if (bound) {
-          const Entry* it = inclusive
-                                ? r->lower_bound_pos(*bound, map_->less_)
-                                : r->upper_bound_pos(*bound, map_->less_);
-          i = static_cast<std::uint32_t>(it - r->begin());
-        }
-        if (i < r->count) {
-          set(x, r, i);
-          return;
-        }
-      }
-    }
-    valid_ = false;
-  }
-
-  // Land on the last visible entry <= *bound (< when !inclusive) in x or
-  // any node to its left; invalidate when none exists.
-  void land_backward(Node* x, const K* bound, bool inclusive)
-      JIFFY_REQUIRES(guard_, ticket_) {
-    for (; x; x = map_->pred_at(x, v_, guard_, ticket_)) {
-      if (Rev* r = visible_head(x)) {
-        std::uint32_t i = r->count;
-        if (bound) {
-          const Entry* it = inclusive
-                                ? r->upper_bound_pos(*bound, map_->less_)
-                                : r->lower_bound_pos(*bound, map_->less_);
-          i = static_cast<std::uint32_t>(it - r->begin());
-        }
-        if (i > 0) {
-          set(x, r, i - 1);
-          return;
-        }
-      }
-    }
-    valid_ = false;
-  }
-
-  const MapT* map_;
-  std::uint64_t v_;
-  ebr::Guard guard_;
-  ebr::VersionTicket ticket_;
-  Node* node_ = nullptr;
-  Rev* rev_ = nullptr;
-  std::uint32_t idx_ = 0;
-  bool valid_ = false;
-};
-
-// A consistent point-in-time view: the first-class handle for versioned
-// reads. Holds an EBR guard for its lifetime, so the revision chains
-// backing `version()` stay reachable; keep snapshots short-lived or expect
-// retired garbage to accumulate. Beyond point gets and bounded scans it
-// hands out bidirectional cursors and half-open range views, all reading at
-// the same frozen version. Snapshots and the cursors they produce pin the
-// creating thread's epoch — create cursors while the snapshot is alive.
-template <class MapT>
-class Snapshot {
- public:
-  using K = typename MapT::key_type;
-  using V = typename MapT::mapped_type;
-  using Cursor = SnapCursor<MapT>;
-
-  // Member order matters: ticket_ registers its "reserving" sentinel before
-  // version_'s initializer reads the clock, so the purge watermark can never
-  // slip past the version this snapshot is about to pin.
-  explicit Snapshot(const MapT* m)
-      : map_(m), version_(m->clock_.read()) {
-    ticket_.publish(version_);
-  }
-
-  std::uint64_t version() const { return version_; }
-
-  std::optional<V> get(const K& k) const {
-    guard_.assert_held();  // class invariant: members pin epoch + version
-    ticket_.assert_pinned();
-    return map_->get_at(k, version_, guard_, ticket_);
-  }
-
-  // Membership without materializing the value.
-  bool contains(const K& k) const {
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    bool found = false;
-    map_->with_entry_at(
-        k, version_, [&](const K&, const V&) { found = true; }, guard_,
-        ticket_);
-    return found;
-  }
-
-  template <class F>
-  std::size_t scan_n(const K& from, std::size_t n, F&& f) const {
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    return map_->scan_at(from, n, version_, std::forward<F>(f), guard_,
-                         ticket_);
-  }
-
-  template <class F>
-  std::size_t rscan_n(const K& from, std::size_t n, F&& f) const {
-    guard_.assert_held();
-    ticket_.assert_pinned();
-    return map_->rscan_at(from, n, version_, std::forward<F>(f), guard_,
-                          ticket_);
-  }
-
-  // ---- cursors ------------------------------------------------------------
-
-  Cursor cursor() const { return Cursor(map_, version_); }  // unpositioned
-
-  Cursor seek(const K& k) const {
-    Cursor c(map_, version_);
-    c.seek(k);
-    return c;
-  }
-
-  Cursor seek_for_prev(const K& k) const {
-    Cursor c(map_, version_);
-    c.seek_for_prev(k);
-    return c;
-  }
-
-  Cursor first() const {
-    Cursor c(map_, version_);
-    c.seek_to_first();
-    return c;
-  }
-
-  Cursor last() const {
-    Cursor c(map_, version_);
-    c.seek_to_last();
-    return c;
-  }
-
-  // ---- half-open range views ----------------------------------------------
-
-  // STL-style forward view of [lo, hi) at the snapshot version:
-  //   for (auto [k, v] : snap.range(lo, hi)) ...
-  // Holds its own EBR guard: in C++20 a range-for over
-  // `map.snapshot().range(lo, hi)` destroys the Snapshot temporary before
-  // begin() runs (temporary lifetime extension in range-for is C++23), so
-  // the view itself must keep the epoch pinned from construction on.
-  class Range {
-   public:
-    struct Sentinel {};
-
-    Range(const Range& o) : map_(o.map_), v_(o.v_), lo_(o.lo_), hi_(o.hi_) {
-      ticket_.publish(v_);
-    }
-
-    class Iterator {
-     public:
-      std::pair<const K&, const V&> operator*() const {
-        return {c_.key(), c_.value()};
-      }
-      Iterator& operator++() {
-        c_.next();
-        return *this;
-      }
-      bool operator==(Sentinel) const { return !c_.in_range_below(hi_); }
-      bool operator!=(Sentinel s) const { return !(*this == s); }
-
-     private:
-      friend class Range;
-      Iterator(const MapT* m, std::uint64_t v, const K& lo, const K& hi)
-          : hi_(hi), c_(m, v) {
-        c_.seek(lo);
-      }
-      K hi_;
-      Cursor c_;
-    };
-
-    Iterator begin() const { return Iterator(map_, v_, lo_, hi_); }
-    Sentinel end() const { return Sentinel{}; }
-
-   private:
-    friend class Snapshot;
-    Range(const MapT* m, std::uint64_t v, K lo, K hi)
-        : map_(m), v_(v), lo_(std::move(lo)), hi_(std::move(hi)) {
-      ticket_.publish(v_);
-    }
-    const MapT* map_;
-    std::uint64_t v_;
-    ebr::Guard guard_;  // the view outlives the Snapshot temporary in C++20
-    ebr::VersionTicket ticket_;  // range-for, so it pins epoch and version
-    K lo_;
-    K hi_;
-  };
-
-  Range range(const K& lo, const K& hi) const {
-    return Range(map_, version_, lo, hi);
-  }
-
- private:
-  const MapT* map_;
-  ebr::Guard guard_;
-  ebr::VersionTicket ticket_;
-  std::uint64_t version_;
-};
-
 }  // namespace jiffy
+
+#include "core/snapshot.h"  // SnapPos, SnapCursor, Snapshot

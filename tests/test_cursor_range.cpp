@@ -7,9 +7,12 @@
 //     range view equals the forward sequence clipped to [lo, hi);
 //   * snapshot stability while iterating backward: a Snapshot re-walked
 //     backward gives identical results while the map mutates underneath;
+//   * every versioned read holds exactly one version ticket (the one-shot
+//     scans, a Snapshot's own reads, a range-for over a temporary
+//     snapshot's view);
 //   * the map surface shared by every concurrent map (contains /
-//     approx_size / rscan_n / range_scan) on the Jiffy, CSLM and lock-free
-//     list maps against the same oracle.
+//     approx_size / rscan_n / range_scan) on the Jiffy and CSLM maps
+//     against the same oracle.
 // 1 writer + 3 readers where concurrent, so the TSan preset drives 4-way
 // races.
 #include <atomic>
@@ -340,6 +343,76 @@ void test_backward_snapshot_stability() {
               static_cast<unsigned long long>(rounds.load()));
 }
 
+// Version tickets in use right now, over every thread's registrations.
+std::size_t live_tickets() {
+  std::size_t n = 0;
+  for (auto* s = ebr::detail::version_registry().head.load(
+           std::memory_order_acquire);
+       s; s = s->next)
+    n += s->in_use.load(std::memory_order_acquire) ? 1 : 0;
+  return n;
+}
+
+// While set, ProbedLess records the live ticket count at every comparison:
+// the probe for the reads that take no visitor.
+std::vector<std::size_t>* probe_seen = nullptr;
+struct ProbedLess {
+  bool operator()(std::uint64_t a, std::uint64_t b) const {
+    if (probe_seen) probe_seen->push_back(live_tickets());
+    return a < b;
+  }
+};
+
+// Every read holds exactly one version ticket: the one-shot scans and a
+// Snapshot's own reads, and a range-for over a temporary snapshot's view.
+// Counted inside each visitor or loop body and at every comparison the read
+// makes, single-threaded with no other ticket live.
+void test_one_ticket_per_read() {
+  using PMap = JiffyMap<std::uint64_t, std::uint64_t, ProbedLess>;
+  PMap m(cfg_fixed(8));  // many nodes, so every walk hops
+  for (std::uint64_t i = 0; i < 400; ++i) m.put(i * 3, i);
+  CHECK_EQ(live_tickets(), 0u);
+  auto expect_one = [](const char* read, auto&& run) {
+    std::vector<std::size_t> seen;
+    probe_seen = &seen;
+    run(seen);
+    probe_seen = nullptr;
+    CHECK(!seen.empty());
+    for (std::size_t n : seen) {
+      if (n != 1)
+        std::fprintf(stderr, "%s held %zu version tickets\n", read, n);
+      CHECK_EQ(n, 1u);
+    }
+  };
+  auto visit = [](std::vector<std::size_t>& seen) {
+    return [&seen](const std::uint64_t&, const std::uint64_t&) {
+      seen.push_back(live_tickets());
+    };
+  };
+  expect_one("scan_n", [&](auto& seen) { m.scan_n(100, 50, visit(seen)); });
+  expect_one("rscan_n", [&](auto& seen) { m.rscan_n(900, 50, visit(seen)); });
+  expect_one("range_scan",
+             [&](auto& seen) { m.range_scan(100, 400, visit(seen)); });
+  expect_one("range-for over snapshot().range", [&](auto& seen) {
+    for (auto [k, v] : m.snapshot().range(100, 400)) {
+      (void)k;
+      (void)v;
+      seen.push_back(live_tickets());
+    }
+  });
+  {
+    const PMap::SnapshotT s = m.snapshot();
+    expect_one("Snapshot::scan_n",
+               [&](auto& seen) { s.scan_n(100, 50, visit(seen)); });
+    expect_one("Snapshot::rscan_n",
+               [&](auto& seen) { s.rscan_n(900, 50, visit(seen)); });
+    expect_one("Snapshot::get", [&](auto&) { CHECK(s.get(300).has_value()); });
+    expect_one("Snapshot::contains", [&](auto&) { CHECK(!s.contains(301)); });
+  }
+  CHECK_EQ(live_tickets(), 0u);
+  std::puts("  one version ticket per read OK");
+}
+
 // The shared map surface on every concurrent map vs one oracle.
 template <class M>
 void check_map_surface(const char* name) {
@@ -405,6 +478,7 @@ void check_map_surface(const char* name) {
 }  // namespace
 
 int main() {
+  test_one_ticket_per_read();
   test_cursor_oracle(cfg_fixed(8));
   test_cursor_oracle(cfg_fixed(64));
   {

@@ -24,7 +24,7 @@ expansionLoc. The walk replays that state in document order and places a
 node at the end of its range's expansion: a member call's operation token,
 a retire's callee name, an attribute's macro line.
 
-Requires a clang++ ($JIFFY_CLANGXX honoured); exits 2 when none is found.
+Requires a clang++ (find_clangxx below); exits 2 when none is found.
 """
 
 import json
@@ -46,13 +46,20 @@ CLANG_VERSIONS = range(19, 14, -1)
 
 
 def find_clangxx():
-    candidates = [os.environ.get("JIFFY_CLANGXX"), "clang++"]
+    """The clang++ every clang-driven check uses (this AST mode and
+    tools/tests/check_thread_safety.py): $JIFFY_CLANGXX, then $CXX, then
+    clang++ and clang++-19 ... clang++-15, then clang and clang-19 ...
+    clang-15. A candidate counts only if it is on PATH and its file name
+    names clang, so a GCC $CXX is passed over."""
+    candidates = [os.environ.get("JIFFY_CLANGXX"), os.environ.get("CXX"),
+                  "clang++"]
     candidates += [f"clang++-{v}" for v in CLANG_VERSIONS]
     candidates.append("clang")
     candidates += [f"clang-{v}" for v in CLANG_VERSIONS]
     for cand in candidates:
-        if cand and shutil.which(cand):
-            return shutil.which(cand)
+        path = shutil.which(cand) if cand else None
+        if path and "clang" in os.path.basename(path):
+            return path
     return None
 
 

@@ -11,6 +11,11 @@ text scan finds (textscan.SourceFile.sites):
   operator-form        ++ / -- / = / += on a std::atomic variable or
                        reference: seq_cst by default and invisible to the
                        order check
+  free-function        a std::atomic_* free-function call (atomic_load,
+                       atomic_fetch_add_explicit, ...; qualified or found
+                       by ADL), for the same reason: the per-site checks
+                       see only member operations. The two fences are
+                       checked as sites instead.
   unjustified-relaxed  a site whose strongest effect is memory_order_relaxed
                        carries no `// relaxed: <why>` justification
   missing-pairs        a site with release or acquire semantics carries no
@@ -34,6 +39,13 @@ from .textscan import Finding
 # operator-form check tracks.
 ATOMIC_DECL_RE = re.compile(
     r"\batomic\s*<[^;<]*?>\s*(?:&\s*|\s)(\w+)\s*[\[{;=(]")
+
+
+# A std::atomic_* free function, not reached through `.`, `->` or another
+# namespace; atomic_thread_fence/atomic_signal_fence are sites (FENCE_RE).
+FREE_FUNCTION_RE = re.compile(
+    r"(?<![\w.>:])(?:std\s*::\s*)?"
+    r"(atomic_(?!thread_fence\b|signal_fence\b)\w+)\s*\(")
 
 
 def is_declaration_init(code, match_start):
@@ -71,6 +83,16 @@ def operator_form(src):
                     f"(implicit seq_cst); use explicit "
                     f".load/.store/.fetch_* with a named order"))
     return findings
+
+
+def free_function(src):
+    """std::atomic_* free-function calls, whose order the sites miss."""
+    return [Finding(src.path, idx + 1, "free-function",
+                    f"std::{m.group(1)} free function (its order is "
+                    f"invisible to the audit); use the member form "
+                    f".load/.store/.fetch_* with a named order")
+            for idx, code in enumerate(src.code_lines)
+            for m in FREE_FUNCTION_RE.finditer(code)]
 
 
 def site_findings(sites, pairs, check_coverage, catalog_path):
@@ -146,6 +168,7 @@ def run(sources, catalog, check_coverage=True):
     findings = []
     for src in sources:
         findings.extend(operator_form(src))
+        findings.extend(free_function(src))
     findings.extend(site_findings(
         [s for src in sources for s in src.sites], catalog.get("pairs", {}),
         check_coverage, catalog.get("__path__", "memory_model.json")))

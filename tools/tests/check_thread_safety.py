@@ -7,21 +7,24 @@ the capability annotations in src/common/analysis.h catch un-guarded node
 access and that they don't false-positive on the sanctioned assert_held()
 pattern.
 
-Needs a clang++ ($JIFFY_CLANGXX, $CXX if it is clang, or clang++ on PATH);
-without one the check is skipped with exit code 77, which ctest maps to
-SKIPPED via SKIP_RETURN_CODE (the GCC-only tier-1 container takes this
-path; the CI lint job provides clang and runs it for real).
+Needs a clang++, found by the probe `lint.py --compdb` also uses
+(jiffylint.astmode.find_clangxx: $JIFFY_CLANGXX, $CXX if it is clang, then
+clang++ on PATH); without one the check is skipped with exit code 77, which
+ctest maps to SKIPPED via SKIP_RETURN_CODE (a GCC-only host takes this path;
+the CI lint job provides clang and runs it for real).
 
 Exit codes: 0 pass, 1 fail, 77 skipped (no clang).
 """
 
 import os
-import shutil
 import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
+sys.path.insert(0, os.path.join(REPO, "tools"))
+
+from jiffylint.astmode import find_clangxx  # noqa: E402
 
 FLAGS = [
     "-std=c++20",
@@ -30,22 +33,6 @@ FLAGS = [
     "-Wthread-safety",
     "-Werror=thread-safety",
 ]
-
-
-def find_clangxx():
-    # Probe versioned binaries too (clang++-19 ... clang++-15): distros often
-    # ship those without a bare `clang++` symlink, and skipping (exit 77) when
-    # one is installed would silently drop the TSA gate.
-    versioned = [f"clang++-{v}" for v in range(19, 14, -1)]
-    versioned += [f"clang-{v}" for v in range(19, 14, -1)]
-    for cand in [os.environ.get("JIFFY_CLANGXX"), os.environ.get("CXX"),
-                 "clang++", *versioned]:
-        if not cand:
-            continue
-        path = shutil.which(cand)
-        if path and "clang" in os.path.basename(path):
-            return path
-    return None
 
 
 def compile_fixture(clangxx, name):

@@ -43,6 +43,14 @@ struct Violations {
   // Site 8 (operator-form access through a reference to an atomic).
   std::atomic<int>& alias = counter;
   void reset() { alias = 0; }
+
+  // Site 9 (free-function access, seq_cst by default).
+  int free_load() { return std::atomic_load(&x); }
+
+  // Site 10 (free-function access naming an order the audit cannot see).
+  void free_store() {
+    std::atomic_store_explicit(&x, 4, std::memory_order_release);
+  }
 };
 
 }  // namespace fixture

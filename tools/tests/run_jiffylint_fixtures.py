@@ -7,8 +7,9 @@ zero findings and exit 0. The protocol passes use jiffylint_fixtures/ with
 the model_bad/model_clean catalogs; the audit uses fixtures/ with
 fixtures_model.json. It also checks the clang AST walk without clang: a
 hand-written dump (jiffylint_fixtures/ast_dump.json) must yield the exact
-sites and cross-check findings listed below. Wired into ctest as a
-quick-label target (see tests/CMakeLists.txt).
+sites and cross-check findings listed below; and the one clang probe
+(astmode.find_clangxx) against stub compilers on a temporary PATH. Wired
+into ctest as a quick-label target (see tests/CMakeLists.txt).
 
 Exit codes: 0 pass, 1 fail.
 """
@@ -18,6 +19,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -98,6 +100,8 @@ CASES = {
             ("violations.h", "unpaired-acquire"),
             ("violations.h", "operator-form"),
             ("violations.h", "operator-form"),
+            ("violations.h", "free-function"),
+            ("violations.h", "free-function"),
             ("fixtures_model.json", "stale-catalog"),
         ],
         ["--catalog", AUDIT_MODEL, "--no-coverage",
@@ -152,8 +156,42 @@ def check_ast_walk():
     return ok
 
 
+def check_clang_probe():
+    """$CXX wins over the unversioned clang++ found earlier on PATH: with
+    stub `clang++` and `clang++-18` first on PATH and CXX=clang++-18, the
+    probe must return the clang++-18 stub."""
+    sys.path.insert(0, os.path.join(REPO, "tools"))
+    from jiffylint import astmode
+
+    saved = {k: os.environ.get(k) for k in ("PATH", "CXX", "JIFFY_CLANGXX")}
+    with tempfile.TemporaryDirectory() as stubs:
+        for name in ("clang++", "clang++-18"):
+            path = os.path.join(stubs, name)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write("#!/bin/sh\nexit 0\n")
+            os.chmod(path, 0o755)
+        try:
+            os.environ["PATH"] = stubs + os.pathsep + (saved["PATH"] or "")
+            os.environ.pop("JIFFY_CLANGXX", None)
+            os.environ["CXX"] = "clang++-18"
+            got = astmode.find_clangxx()
+        finally:
+            for k, v in saved.items():
+                if v is None:
+                    os.environ.pop(k, None)
+                else:
+                    os.environ[k] = v
+        want = os.path.join(stubs, "clang++-18")
+        if got != want:
+            print(f"FAIL [clang-probe]: find_clangxx() returned {got}, "
+                  f"want {want}")
+            return False
+    return True
+
+
 def main():
     ok = check_ast_walk()
+    ok = check_clang_probe() and ok
     for name, (bad, expected, clean) in CASES.items():
         expected = sorted(expected)
 
@@ -184,7 +222,8 @@ def main():
     if ok:
         total = sum(len(e) for _b, e, _c in CASES.values())
         print(f"PASS: {total} expected findings across {len(CASES)} passes, "
-              f"clean twins clean, AST walk sites exact")
+              f"clean twins clean, AST walk sites exact, clang probe "
+              f"honours $CXX")
     return 0 if ok else 1
 
 
