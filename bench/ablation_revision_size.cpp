@@ -7,14 +7,11 @@
 //
 // Part 2: adaptation trace — switch the workload from write-heavy to
 // read-heavy mid-run and print the average head-revision size over time.
-#include <atomic>
 #include <cstdio>
-#include <thread>
-#include <vector>
 
+#include "bench/harness.h"  // run_mix
 #include "core/jiffy.h"
 #include "workload/keyvalue.h"
-#include "workload/rng.h"
 
 namespace {
 
@@ -24,36 +21,9 @@ using Map = JiffyMap<std::uint64_t, std::uint64_t>;
 constexpr std::uint64_t kEntries = 20'000;
 constexpr std::uint64_t kSpace = kEntries * 2;
 
-double run_mix(Map& map, double read_fraction, double seconds, int threads) {
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> ops{0};
-  std::vector<std::thread> ts;
-  for (int t = 0; t < threads; ++t) {
-    ts.emplace_back([&, t] {
-      Rng rng(23 + t);
-      std::uint64_t n = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const std::uint64_t i = rng.next_below(kSpace);
-        const auto k = KeyCodec<std::uint64_t>::encode(i, kSpace);
-        if (rng.next_double() < read_fraction)
-          map.get(k);
-        else if (rng.next_bool(0.5))
-          map.put(k, rng.next());
-        else
-          map.erase(k);
-        ++n;
-      }
-      ops.fetch_add(n, std::memory_order_relaxed);
-    });
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  stop.store(true);
-  for (auto& th : ts) th.join();
-  const double dt =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return static_cast<double>(ops.load()) / dt / 1e6;
+// bench::run_mix at this file's shape: 4 workers seeded 23 + t.
+double run_mix(Map& map, double read_fraction, double seconds) {
+  return bench::run_mix(map, kSpace, read_fraction, seconds, 4, 23);
 }
 
 void preload(Map& m) {
@@ -65,7 +35,6 @@ void preload(Map& m) {
 
 int main() {
   std::printf("bench,config,mix,mops,avg_rev_size\n");
-  const int threads = 4;
 
   for (double rf : {0.0, 0.9}) {
     for (std::uint32_t fixed : {25u, 50u, 100u, 200u, 300u}) {
@@ -74,15 +43,15 @@ int main() {
       cfg.autoscaler.fixed_size = fixed;
       Map m(cfg);
       preload(m);
-      const double mops = run_mix(m, rf, 0.2, threads);
+      const double mops = run_mix(m, rf, 0.2);
       std::printf("ablation_revsize,fixed%u,reads%.0f%%,%.3f,%.1f\n", fixed,
                   rf * 100, mops, m.debug_stats().avg_revision_size);
     }
     {
       Map m;  // autoscaler on
       preload(m);
-      run_mix(m, rf, 0.3, threads);  // warm up the EMAs
-      const double mops = run_mix(m, rf, 0.2, threads);
+      run_mix(m, rf, 0.3);  // warm up the EMAs
+      const double mops = run_mix(m, rf, 0.2);
       std::printf("ablation_revsize,autoscale,reads%.0f%%,%.3f,%.1f\n",
                   rf * 100, mops, m.debug_stats().avg_revision_size);
     }
@@ -95,12 +64,12 @@ int main() {
     preload(m);
     std::printf("bench,phase,t,avg_rev_size\n");
     for (int step = 0; step < 5; ++step) {
-      run_mix(m, 0.0, 0.1, threads);
+      run_mix(m, 0.0, 0.1);
       std::printf("ablation_adapt,writes,%d,%.1f\n", step,
                   m.debug_stats().avg_revision_size);
     }
     for (int step = 0; step < 5; ++step) {
-      run_mix(m, 0.95, 0.1, threads);
+      run_mix(m, 0.95, 0.1);
       std::printf("ablation_adapt,reads,%d,%.1f\n", step,
                   m.debug_stats().avg_revision_size);
     }

@@ -19,20 +19,13 @@
 // counts B. Each row also reports the update-only throughput — the appendix
 // figures (7-10) are the same runs with that second series plotted.
 //
-// Scale: defaults target a small machine (see DESIGN.md §2 scale note); pass
-// --paper for the full 10M-entry, 96-thread grid of the paper's testbed.
-// Latency columns (ISSUE 10, DESIGN.md §15): every CSV row carries
-// p50/p99/p999 microseconds over the cell's sampled per-op latencies. Two
-// recording modes:
-//   * closed loop (default): service time of 1 op in 4, two TSC reads per
-//     sampled op (~16 ns) — cheap enough to stay inside the §15 overhead
-//     budget, but a stalled op delays the next op's start, so tails are
-//     understated under saturation (classic coordinated omission);
-//   * open loop (--rate=R): ops are dispatched on a fixed schedule of
-//     intended start times (R ops/sec split across the cell's workers) and
-//     every latency is completion MINUS INTENDED start — a stall shows up
-//     in every queued op behind it, never skipped, making the percentiles
-//     coordinated-omission-free.
+// Scale: defaults target a small machine (see DESIGN.md §2 scale note); the
+// paper's sizes are reached with --entries, --threads and --seconds.
+// Latency columns (DESIGN.md §15): every CSV row carries p50/p99/p999
+// microseconds over the cell's sampled per-op latencies: the service time of
+// 1 op in 4, two TSC reads per sampled op — cheap enough to stay inside the
+// §15 overhead budget, but a stalled op delays the next op's start, so tails
+// are understated under saturation (classic coordinated omission).
 // --metrics=<file> additionally dumps per-cell counter deltas + per-role
 // histograms as JSON (schema jiffy-metrics-v1; read by check_scaling.py).
 #pragma once
@@ -129,7 +122,6 @@ struct RunConfig {
   std::string figure;
   std::string kv_shape;
   KeyChooser::Kind dist = KeyChooser::Kind::Uniform;
-  std::uint64_t key_space = 40'000;  // 2x entries, like the paper's 20M/10M
   std::uint64_t entries = 20'000;
   double seconds = 0.15;
   // Jiffy's autoscaler EMAs are time-weighted (paper §3.3.6 reports ~1-10 s
@@ -139,14 +131,13 @@ struct RunConfig {
   std::vector<int> threads = {1, 2, 4};
   Scenario scenario = Scenario::kUpdateOnly;
   BatchMode batch;
-  double zipf_theta = 0.99;
   // Repetitions per cell; the best rep is reported. Short cells on a shared
   // (or single-core, oversubscribed) box are scheduler-noise-dominated, and
   // max-of-N is the standard robust estimator for "what the code can do".
   int reps = 1;
-  // Open-loop mode: total intended ops/sec for the cell, split evenly across
-  // its workers. 0 = closed loop (see the header comment).
-  double rate = 0;
+
+  // 2x entries, like the paper's 20M keys over 10M entries.
+  std::uint64_t key_space() const { return entries * 2; }
 };
 
 // Latency op classes: one histogram per per-thread role kind, merged across
@@ -168,75 +159,28 @@ inline double hist_pct_us(const obs::LatHistogram& h, double p,
   return static_cast<double>(h.value_at_percentile(p)) / ticks_per_us;
 }
 
-// TSC tick rate, measured once per process against steady_clock — used only
-// to convert --rate into a pacing interval. Percentile reporting uses the
-// tighter per-cell calibration run_cell takes at its own endpoints.
-inline double tsc_ticks_per_sec() {
-  static const double tps = [] {
-    const TscClock c;
-    const auto w0 = std::chrono::steady_clock::now();
-    const std::uint64_t t0 = c.read();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    const std::uint64_t t1 = c.read();
-    const double s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - w0)
-            .count();
-    return s > 0 ? static_cast<double>(t1 - t0) / s : 1e9;
-  }();
-  return tps;
-}
-
-// Per-worker latency instrumentation; strictly single-threaded (one LatMeter
-// per worker, merged after join). Compiles to nothing under JIFFY_OBS=0 so
-// the obs-off twin bench measures the bare op loop.
+// Per-worker latency instrumentation: the service time of 1 op in 4 (see the
+// header comment). Strictly single-threaded (one LatMeter per worker, merged
+// after join). Compiles to nothing under JIFFY_OBS=0 so the obs-off twin
+// bench measures the bare op loop.
 struct LatMeter {
   obs::LatHistogram hist;
   TscClock tsc;
-  std::uint64_t interval = 0;  // pacing interval in ticks; 0 = closed loop
-  std::uint64_t intended = 0;
   std::uint64_t t0 = 0;
   std::uint64_t n = 0;
 
-  void arm() {
+  // Call before the op.
+  void begin() {
 #if JIFFY_OBS
-    intended = tsc.read();
+    t0 = (n & 3) == 0 ? tsc.read() : 0;
 #endif
-  }
-
-  // Call before the op. In open-loop mode waits for the next intended start
-  // (never skipping missed slots — the coordinated-omission-free property);
-  // returns false when stop was raised mid-wait.
-  template <class Stopped>
-  bool begin(const Stopped& stopped) {
-#if JIFFY_OBS
-    if (interval != 0) {
-      std::uint64_t now;
-      while ((now = tsc.read()) < intended) {
-        if (stopped()) return false;
-        // Far from the slot, cede the core (these boxes are oversubscribed);
-        // inside ~a microsecond, spin so the start lands on schedule.
-        if (intended - now > 2048) std::this_thread::yield();
-      }
-      t0 = intended;  // latency is measured from the INTENDED start
-    } else {
-      t0 = (n & 3) == 0 ? tsc.read() : 0;  // sampled service time, 1-in-4
-    }
-#else
-    (void)stopped;
-#endif
-    return true;
   }
 
   // Call after the op completes.
   void end() {
 #if JIFFY_OBS
     ++n;
-    if (interval != 0) {
-      hist.record(tsc.read() - t0);
-      intended += interval;
-    } else if (t0 != 0) {
-      hist.record(tsc.read() - t0);
-    }
+    if (t0 != 0) hist.record(tsc.read() - t0);
 #endif
   }
 };
@@ -304,192 +248,116 @@ inline RoleSplit roles_for(Scenario s, int threads) {
 // Runs one (index, config, thread-count) cell against a preloaded index.
 // The chooser is passed in: it is immutable and identical for the whole
 // sweep, and constructing it is O(key_space) for Zipf (the zeta sum), which
-// would otherwise be paid once per cell at --paper scale.
+// at the paper's 10M entries would otherwise be paid once per cell.
 template <MapApi Map>
 RowResult run_cell(Map& idx, const RunConfig& cfg, int threads,
                    const KeyChooser& chooser) {
   using K = typename Map::key_type;
   using V = typename Map::mapped_type;
   const RoleSplit roles = roles_for(cfg.scenario, threads);
+  const std::uint64_t space = cfg.key_space();
 
   // start and stop are written by the coordinator while every worker polls
   // them; padded apart so the stop store does not invalidate the line the
-  // start spin reads (and neither shares a line with the slot array below).
+  // start spin reads.
   CachePadded<std::atomic<bool>> start_pad;
   CachePadded<std::atomic<bool>> stop_pad;
   std::atomic<bool>& start = start_pad.value;
   std::atomic<bool>& stop = stop_pad.value;
-  // One counter cacheline per worker, written (plainly — each slot has
-  // exactly one writer) at the end of its run and read only after join().
-  // The padding keeps the harness from manufacturing the very false sharing
-  // the engine's striped counters remove (DESIGN.md §14); the layout
-  // contract is static_asserted in tests/test_striped_counter.cpp.
-  struct OpSlot {
-    std::uint64_t total = 0;
-    std::uint64_t updates = 0;
-  };
-  std::vector<CachePadded<OpSlot>> slots(
-      static_cast<std::size_t>(threads > 0 ? threads : 1));
-  // Per-worker latency histograms, written once (plainly) by the owner at
-  // the end of its run and merged after join. No padding needed: unlike the
-  // op slots these are cold until the final write.
-  struct LatSlot {
+  // One record per worker, written (plainly) once by its owner after its
+  // loop and read only after join(). Cold until then, so unpadded.
+  struct WorkerRecord {
+    std::uint64_t ops = 0;  // basic operations (see the header comment)
+    LatClass cls = kLatPut;
     obs::LatHistogram hist;
-    int cls = kLatPut;
   };
-  std::vector<LatSlot> lat_slots(
+  std::vector<WorkerRecord> records(
       static_cast<std::size_t>(threads > 0 ? threads : 1));
-  // Open-loop pacing: cfg.rate intended ops/sec for the whole cell, split
-  // evenly, expressed as a per-worker TSC interval. 0 = closed loop.
-  const std::uint64_t pace_ticks =
-      cfg.rate > 0 && threads > 0
-          ? static_cast<std::uint64_t>(tsc_ticks_per_sec() * threads /
-                                       cfg.rate)
-          : 0;
 
-  // start is a release/acquire edge (pairs: harness-start-stop) so workers
-  // cannot observe it before t0 is taken; stop is relaxed and the per-thread
-  // op slots are plain because the joins below order everything written.
-  auto stopped = [&stop] {
-    // relaxed: advisory stop flag; thread join orders the counter writes.
-    return stop.load(std::memory_order_relaxed);
-  };
-
-  auto updater = [&](int tid) {
-    Rng rng(0xBEEF + static_cast<std::uint64_t>(tid));
-    std::uint64_t ops = 0;
-    LatMeter lm;
-    lm.interval = pace_ticks;
-    while (!start.load(std::memory_order_acquire))  // pairs: harness-start-stop
-      std::this_thread::yield();  // oversubscribed: let the coordinator run
-    lm.arm();
-    while (!stopped()) {
-      if (!lm.begin(stopped)) break;
-      if (cfg.batch.size == 0) {
-        const std::uint64_t i = chooser.next_index(rng);
-        const K k = KeyCodec<K>::encode(i, cfg.key_space);
-        if (rng.next_bool(0.5))
-          idx.put(k, ValueCodec<V>::make(i, rng.next()));
-        else
-          idx.erase(k);
-        ++ops;
-      } else {
-        Batch<K, V> b;
-        b.reserve(cfg.batch.size);
-        std::uint64_t i = chooser.next_index(rng);
-        for (std::size_t j = 0; j < cfg.batch.size; ++j) {
-          if (!cfg.batch.sequential) i = chooser.next_index(rng);
-          const K k = KeyCodec<K>::encode(i % cfg.key_space, cfg.key_space);
-          if (rng.next_bool(0.5))
-            b.put(k, ValueCodec<V>::make(i, rng.next()));
-          else
-            b.erase(k);
-          if (cfg.batch.sequential) ++i;
-        }
-        idx.apply(std::move(b));
-        ops += cfg.batch.size;
-      }
-      lm.end();
-    }
-    slots[static_cast<std::size_t>(tid)].value = {ops, ops};
-    lat_slots[static_cast<std::size_t>(tid)] = {
-        lm.hist, cfg.batch.size == 0 ? kLatPut : kLatBatch};
-  };
-
-  auto lookup = [&](int tid) {
-    Rng rng(0xFACE + static_cast<std::uint64_t>(tid));
-    std::uint64_t ops = 0;
-    LatMeter lm;
-    lm.interval = pace_ticks;
-    while (!start.load(std::memory_order_acquire))  // pairs: harness-start-stop
-      std::this_thread::yield();  // oversubscribed: let the coordinator run
-    lm.arm();
-    while (!stopped()) {
-      if (!lm.begin(stopped)) break;
-      const std::uint64_t i = chooser.next_index(rng);
-      idx.get(KeyCodec<K>::encode(i, cfg.key_space));
-      ++ops;
-      lm.end();
-    }
-    slots[static_cast<std::size_t>(tid)].value = {ops, 0};
-    lat_slots[static_cast<std::size_t>(tid)] = {lm.hist, kLatGet};
-  };
-
-  auto scanner = [&](int tid) {
-    Rng rng(0x5CA9 + static_cast<std::uint64_t>(tid));
-    std::uint64_t ops = 0;
-    LatMeter lm;
-    lm.interval = pace_ticks;
-    while (!start.load(std::memory_order_acquire))  // pairs: harness-start-stop
-      std::this_thread::yield();  // oversubscribed: let the coordinator run
-    lm.arm();
-    while (!stopped()) {
-      if (!lm.begin(stopped)) break;
-      const std::uint64_t i = chooser.next_index(rng);
-      ops += idx.scan_n(KeyCodec<K>::encode(i, cfg.key_space), roles.scan_len,
-                        [](const K&, const V&) {});
-      lm.end();
-    }
-    slots[static_cast<std::size_t>(tid)].value = {ops, 0};
-    lat_slots[static_cast<std::size_t>(tid)] = {lm.hist, kLatScan};
-  };
-
-  auto rev_scanner = [&](int tid) {
-    Rng rng(0xD15C + static_cast<std::uint64_t>(tid));
-    std::uint64_t ops = 0;
-    LatMeter lm;
-    lm.interval = pace_ticks;
-    while (!start.load(std::memory_order_acquire))  // pairs: harness-start-stop
-      std::this_thread::yield();  // oversubscribed: let the coordinator run
-    lm.arm();
-    while (!stopped()) {
-      if (!lm.begin(stopped)) break;
-      const std::uint64_t i = chooser.next_index(rng);
-      ops += idx.rscan_n(KeyCodec<K>::encode(i, cfg.key_space),
-                         roles.scan_len, [](const K&, const V&) {});
-      lm.end();
-    }
-    slots[static_cast<std::size_t>(tid)].value = {ops, 0};
-    lat_slots[static_cast<std::size_t>(tid)] = {lm.hist, kLatScan};
-  };
-
-  auto ranger = [&](int tid) {
-    Rng rng(0x7A11 + static_cast<std::uint64_t>(tid));
-    std::uint64_t ops = 0;
-    LatMeter lm;
-    lm.interval = pace_ticks;
-    while (!start.load(std::memory_order_acquire))  // pairs: harness-start-stop
-      std::this_thread::yield();  // oversubscribed: let the coordinator run
-    lm.arm();
-    while (!stopped()) {
-      if (!lm.begin(stopped)) break;
-      const std::uint64_t lo_i = chooser.next_index(rng);
-      const std::uint64_t hi_i =
-          std::min(lo_i + roles.range_span, cfg.key_space - 1);
-      ops += idx.range_scan(KeyCodec<K>::encode(lo_i, cfg.key_space),
-                            KeyCodec<K>::encode(hi_i, cfg.key_space),
-                            [](const K&, const V&) {});
-      lm.end();
-    }
-    slots[static_cast<std::size_t>(tid)].value = {ops, 0};
-    lat_slots[static_cast<std::size_t>(tid)] = {lm.hist, kLatScan};
-  };
-
+  // The one worker loop: starts n workers of one role, tids in spawn order.
+  // Each seeds its Rng with seed + tid, waits for start, calls op (which
+  // returns the basic operations it did) until stop, times 1 call in 4 and
+  // writes its record. op is the role's own lambda type, so the call
+  // inlines. start is a release/acquire edge (pairs: harness-start-stop) so
+  // workers cannot observe it before t0 is taken; stop is relaxed and the
+  // records are plain because the joins below order everything written.
   std::vector<std::thread> ts;
-  int tid = 0;
-  for (int i = 0; i < roles.updaters; ++i) ts.emplace_back(updater, tid++);
-  for (int i = 0; i < roles.lookups; ++i) ts.emplace_back(lookup, tid++);
-  for (int i = 0; i < roles.scanners; ++i) ts.emplace_back(scanner, tid++);
-  for (int i = 0; i < roles.rev_scanners; ++i)
-    ts.emplace_back(rev_scanner, tid++);
-  for (int i = 0; i < roles.rangers; ++i) ts.emplace_back(ranger, tid++);
+  int next_tid = 0;
+  auto spawn = [&](int n, std::uint64_t seed, LatClass cls, auto op) {
+    for (int i = 0; i < n; ++i) {
+      ts.emplace_back([&start, &stop, &records, op, seed, cls,
+                       tid = next_tid++] {
+        Rng rng(seed + static_cast<std::uint64_t>(tid));
+        std::uint64_t ops = 0;
+        LatMeter lm;
+        // pairs: harness-start-stop
+        while (!start.load(std::memory_order_acquire))
+          std::this_thread::yield();  // oversubscribed: let the coordinator run
+        // relaxed: advisory stop flag; thread join orders the record writes.
+        while (!stop.load(std::memory_order_relaxed)) {
+          lm.begin();
+          ops += op(rng);
+          lm.end();
+        }
+        records[static_cast<std::size_t>(tid)] = {ops, cls, lm.hist};
+      });
+    }
+  };
+
+  if (cfg.batch.size == 0) {
+    spawn(roles.updaters, 0xBEEF, kLatPut, [&](Rng& rng) -> std::uint64_t {
+      const std::uint64_t i = chooser.next_index(rng);
+      const K k = KeyCodec<K>::encode(i, space);
+      if (rng.next_bool(0.5))
+        idx.put(k, ValueCodec<V>::make(i, rng.next()));
+      else
+        idx.erase(k);
+      return 1;
+    });
+  } else {
+    spawn(roles.updaters, 0xBEEF, kLatBatch, [&](Rng& rng) -> std::uint64_t {
+      Batch<K, V> b;
+      b.reserve(cfg.batch.size);
+      std::uint64_t i = chooser.next_index(rng);
+      for (std::size_t j = 0; j < cfg.batch.size; ++j) {
+        if (!cfg.batch.sequential) i = chooser.next_index(rng);
+        const K k = KeyCodec<K>::encode(i % space, space);
+        if (rng.next_bool(0.5))
+          b.put(k, ValueCodec<V>::make(i, rng.next()));
+        else
+          b.erase(k);
+        if (cfg.batch.sequential) ++i;
+      }
+      idx.apply(std::move(b));
+      return cfg.batch.size;
+    });
+  }
+  spawn(roles.lookups, 0xFACE, kLatGet, [&](Rng& rng) -> std::uint64_t {
+    idx.get(KeyCodec<K>::encode(chooser.next_index(rng), space));
+    return 1;
+  });
+  spawn(roles.scanners, 0x5CA9, kLatScan, [&](Rng& rng) {
+    return idx.scan_n(KeyCodec<K>::encode(chooser.next_index(rng), space),
+                      roles.scan_len, [](const K&, const V&) {});
+  });
+  spawn(roles.rev_scanners, 0xD15C, kLatScan, [&](Rng& rng) {
+    return idx.rscan_n(KeyCodec<K>::encode(chooser.next_index(rng), space),
+                       roles.scan_len, [](const K&, const V&) {});
+  });
+  spawn(roles.rangers, 0x7A11, kLatScan, [&](Rng& rng) {
+    const std::uint64_t lo_i = chooser.next_index(rng);
+    const std::uint64_t hi_i = std::min(lo_i + roles.range_span, space - 1);
+    return idx.range_scan(KeyCodec<K>::encode(lo_i, space),
+                          KeyCodec<K>::encode(hi_i, space),
+                          [](const K&, const V&) {});
+  });
 
   const TscClock cal;
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t c0 = cal.read();
   start.store(true, std::memory_order_release);  // pairs: harness-start-stop
   std::this_thread::sleep_for(std::chrono::duration<double>(cfg.seconds));
-  // relaxed: advisory stop flag; thread join orders the counter writes.
+  // relaxed: advisory stop flag; thread join orders the record writes.
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : ts) t.join();
   const std::uint64_t c1 = cal.read();
@@ -498,12 +366,13 @@ RowResult run_cell(Map& idx, const RunConfig& cfg, int threads,
           .count();
 
   RowResult r;
-  // Every worker has been joined, so the plain slot reads are race-free.
+  // Every worker has been joined, so the plain record reads are race-free.
   std::uint64_t total = 0;
   std::uint64_t updates = 0;
-  for (const auto& s : slots) {
-    total += s.value.total;
-    updates += s.value.updates;
+  for (const WorkerRecord& w : records) {
+    total += w.ops;
+    if (w.cls == kLatPut || w.cls == kLatBatch) updates += w.ops;
+    r.lat[w.cls].merge(w.hist);
   }
   r.total_mops = static_cast<double>(total) / dt / 1e6;
   r.update_mops = static_cast<double>(updates) / dt / 1e6;
@@ -511,7 +380,6 @@ RowResult run_cell(Map& idx, const RunConfig& cfg, int threads,
   // conversion tracks the actual tick rate of the run, not a boot estimate.
   r.ticks_per_us =
       dt > 0 ? static_cast<double>(c1 - c0) / (dt * 1e6) : 1.0;
-  for (const LatSlot& ls : lat_slots) r.lat[ls.cls].merge(ls.hist);
   return r;
 }
 
@@ -558,14 +426,12 @@ inline void append_metrics_cell(const RunConfig& cfg, const char* index_name,
       buf, sizeof buf,
       "\"figure\":\"%s\",\"scenario\":\"%s\",\"batch\":\"%s\","
       "\"dist\":\"%s\",\"kv\":\"%s\",\"index\":\"%s\",\"threads\":%d,"
-      "\"seconds\":%.3f,\"reps\":%d,\"mode\":\"%s\",\"rate\":%.1f,"
-      "\"total_mops\":%.3f,\"update_mops\":%.3f",
+      "\"seconds\":%.3f,\"reps\":%d,\"total_mops\":%.3f,\"update_mops\":%.3f",
       cfg.figure.c_str(), scenario_name(cfg.scenario),
       cfg.batch.name().c_str(),
       cfg.dist == KeyChooser::Kind::Uniform ? "uniform" : "zipf",
       cfg.kv_shape.c_str(), index_name, threads, cfg.seconds, cfg.reps,
-      cfg.rate > 0 ? "open" : "closed", cfg.rate, r.total_mops,
-      r.update_mops);
+      r.total_mops, r.update_mops);
   c += buf;
   c += ",\"counters\":{";
   for (unsigned i = 0; i < obs::kEventCount; ++i) {
@@ -625,21 +491,20 @@ void run_index(const RunConfig& cfg, const char* name) {
   const auto preload = [&cfg](Map& idx) {
     // Shuffled preload: ascending insertion would land every split on the
     // right edge. Indices are strided across the whole key space (every
-    // other lattice point for the default 2x domain) so present and absent
-    // keys interleave — otherwise every miss would route to the node past
-    // the last key.
-    const std::uint64_t stride =
-        cfg.entries ? std::max<std::uint64_t>(cfg.key_space / cfg.entries, 1)
-                    : 1;
+    // other lattice point of the 2x domain) so present and absent keys
+    // interleave — otherwise every miss would route to the node past the
+    // last key.
     std::vector<std::uint64_t> order(cfg.entries);
-    for (std::uint64_t i = 0; i < cfg.entries; ++i) order[i] = i * stride;
+    for (std::uint64_t i = 0; i < cfg.entries; ++i) order[i] = i * 2;
     Rng rng(1);
     for (std::uint64_t i = cfg.entries; i > 1; --i)
       std::swap(order[i - 1], order[rng.next_below(i)]);
     for (const std::uint64_t i : order)
-      idx.put(KeyCodec<K>::encode(i, cfg.key_space), ValueCodec<V>::make(i, 0));
+      idx.put(KeyCodec<K>::encode(i, cfg.key_space()),
+              ValueCodec<V>::make(i, 0));
   };
-  const KeyChooser chooser(cfg.dist, cfg.key_space, cfg.zipf_theta);
+  // Zipfian draws use KeyChooser's theta, the paper's 0.99.
+  const KeyChooser chooser(cfg.dist, cfg.key_space());
   for (int threads : cfg.threads) {
     Map idx;
     preload(idx);
@@ -694,29 +559,23 @@ void run_index(const RunConfig& cfg, const char* name) {
 }
 
 struct CliOptions {
-  double seconds = 0.15;
-  double warmup = 0.5;
-  std::uint64_t entries = 20'000;
-  std::vector<int> threads = {1, 2, 4};
-  bool paper = false;
+  RunConfig run;  // --seconds, --warmup, --entries, --threads and --reps
   std::string only_index;     // run just one index: jiffy or cslm
   std::string only_scenario;  // run just one scenario: a..e
   bool skip_batches = false;
-  int reps = 1;  // best-of-N per cell (see RunConfig::reps)
-  double rate = 0;           // open-loop intended ops/sec (0 = closed loop)
   std::string metrics_path;  // --metrics=<file>: JSON counter/latency dump
   std::string trace_path;    // --trace=<file>: binary event-trace dump
 };
 
 inline constexpr const char* kCliFlags =
-    "flags: --paper | --seconds=S | --warmup=S | --entries=N | "
+    "flags: --seconds=S | --warmup=S | --entries=N | "
     "--threads=a,b,c | --index=jiffy|cslm | --scenario=a|b|c|d|e | "
-    "--no-batches | --reps=N | --rate=OPS_PER_SEC (open-loop latency mode) | "
+    "--no-batches | --reps=N | "
     "--metrics=FILE (per-cell counter/latency JSON) | "
     "--trace=FILE (binary event trace, see tools/traceview.py)\n";
 
 // All of `s` as a T, or nullopt: from_chars takes no sign on unsigned types,
-// no blanks and no trailing junk. Durations and rates must be finite, >= 0.
+// no blanks and no trailing junk. Durations must be finite, >= 0.
 template <class T>
 std::optional<T> cli_number(const std::string& s) {
   T v{};
@@ -726,6 +585,50 @@ std::optional<T> cli_number(const std::string& s) {
   if constexpr (std::is_floating_point_v<T>)
     if (!std::isfinite(v) || v < 0) return std::nullopt;
   return v;
+}
+
+// The ablations' closed loop: `threads` workers, worker t seeded seed + t,
+// each drawing a get at `read_fraction`, else a put or an erase at even odds,
+// on keys uniform over [0, space), for `seconds`. Returns Mops. No latency
+// meter: ablation_clock compares clock-read costs, and an rdtsc per sampled
+// op would add to every variant.
+template <class Map>
+double run_mix(Map& map, std::uint64_t space, double read_fraction,
+               double seconds, int threads, std::uint64_t seed) {
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> op_count{0};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < threads; ++t) {
+    ts.emplace_back([&, t] {
+      Rng rng(seed + static_cast<std::uint64_t>(t));
+      std::uint64_t n = 0;
+      // relaxed: advisory stop flag; thread join orders the op total.
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::uint64_t i = rng.next_below(space);
+        const auto k = KeyCodec<std::uint64_t>::encode(i, space);
+        if (rng.next_double() < read_fraction)
+          map.get(k);
+        else if (rng.next_bool(0.5))
+          map.put(k, rng.next());
+        else
+          map.erase(k);
+        ++n;
+      }
+      // relaxed: only the total matters, read after join.
+      op_count.fetch_add(n, std::memory_order_relaxed);
+    });
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+  // relaxed: advisory stop flag; thread join orders the op total.
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : ts) th.join();
+  const double dt =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  // relaxed: every adder has been joined.
+  const std::uint64_t total = op_count.load(std::memory_order_relaxed);
+  return static_cast<double>(total) / dt / 1e6;
 }
 
 // Unknown flags and malformed numbers exit 2 with a usage line, before any
@@ -748,24 +651,19 @@ inline CliOptions parse_cli(int argc, char** argv) {
       else
         usage("malformed number in");
     };
-    if (a == "--paper") {
-      o.paper = true;
-      o.entries = 10'000'000;
-      o.seconds = 5.0;
-      o.warmup = 10.0;
-      o.threads = {8, 16, 32, 48, 64, 80, 96};
-    } else if (flag == "--seconds") {
-      number(o.seconds, val);
+    if (flag == "--seconds") {
+      number(o.run.seconds, val);
     } else if (flag == "--warmup") {
-      number(o.warmup, val);
+      number(o.run.warmup, val);
     } else if (flag == "--entries") {
-      number(o.entries, val);
+      number(o.run.entries, val);
+      if (o.run.entries == 0) usage("an empty key space from");
     } else if (flag == "--threads") {
-      o.threads.clear();
+      o.run.threads.clear();
       for (std::size_t pos = 0; pos <= val.size();) {
         const std::size_t comma = std::min(val.find(',', pos), val.size());
-        number(o.threads.emplace_back(), val.substr(pos, comma - pos));
-        if (o.threads.back() < 1) usage("malformed number in");
+        number(o.run.threads.emplace_back(), val.substr(pos, comma - pos));
+        if (o.run.threads.back() < 1) usage("malformed number in");
         pos = comma + 1;
       }
     } else if (flag == "--index") {
@@ -787,10 +685,8 @@ inline CliOptions parse_cli(int argc, char** argv) {
     } else if (a == "--no-batches") {
       o.skip_batches = true;
     } else if (flag == "--reps") {
-      number(o.reps, val);
-      o.reps = std::max(1, o.reps);
-    } else if (flag == "--rate") {
-      number(o.rate, val);
+      number(o.run.reps, val);
+      o.run.reps = std::max(1, o.run.reps);
     } else if (flag == "--metrics" && eq != std::string::npos) {
       o.metrics_path = val;
     } else if (flag == "--trace" && eq != std::string::npos) {
@@ -810,17 +706,10 @@ inline CliOptions parse_cli(int argc, char** argv) {
 template <class K, class V>
 void run_figure(const char* figure, const char* kv_shape,
                 KeyChooser::Kind dist, const CliOptions& cli) {
-  RunConfig base;
+  RunConfig base = cli.run;
   base.figure = figure;
   base.kv_shape = kv_shape;
   base.dist = dist;
-  base.entries = cli.entries;
-  base.key_space = cli.entries * 2;
-  base.seconds = cli.seconds;
-  base.warmup = cli.warmup;
-  base.threads = cli.threads;
-  base.reps = cli.reps;
-  base.rate = cli.rate;
   metrics_sink().path = cli.metrics_path;
   if (!cli.trace_path.empty()) obs::trace_enable(true);
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Runs every figure and ablation binary and drops one CSV per bench into
 # BENCH_RESULTS/. Defaults are the small-machine grid (DESIGN.md §2); pass
-# --paper through to any figure via EXTRA_ARGS.
+# larger sizes through to every figure via EXTRA_ARGS.
 #
 #   ./bench/run_all.sh                 # small grid, jiffy and cslm
 #   ./bench/run_all.sh --quick         # CI-sized cells (short secs/entries)
-#   EXTRA_ARGS="--paper" ./bench/run_all.sh
+#   EXTRA_ARGS="--entries=1000000 --seconds=2" ./bench/run_all.sh
 #   BUILD_DIR=build-foo ./bench/run_all.sh
 #   LIMIT_S=60 ./bench/run_all.sh      # per-invocation time limit (0: none)
 #
@@ -13,8 +13,7 @@
 # that hits the limit (a hung cell) is recorded in $OUT_DIR/hung_<stamp>.txt
 # with a warning on stderr, and the sweep goes on; any other failure stops
 # it. The default limit is 600 s (a healthy default-grid invocation took
-# 4-51 s on a 4-vCPU host), 120 s under --quick and none with
-# --paper.
+# 4-51 s on a 4-vCPU host) and 120 s under --quick.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -47,7 +46,6 @@ if [ ! -x "$BUILD_DIR/fig6_uniform_4_4" ]; then
   cmake --build "$BUILD_DIR" -j >/dev/null
 fi
 
-case " $EXTRA_ARGS " in *" --paper "*) LIMIT_S=${LIMIT_S:-0} ;; esac
 LIMIT_S=${LIMIT_S:-600}
 mkdir -p "$OUT_DIR"
 stamp=$(date +%Y%m%d_%H%M%S)

@@ -28,7 +28,7 @@ static_assert(alignof(CachePadded<std::atomic<bool>>) == kCacheLineBytes);
 static_assert(sizeof(CachePadded<std::atomic<bool>>) == kCacheLineBytes);
 // sizeof is a multiple of alignof, so array elements / adjacent members of
 // CachePadded types can never straddle into each other's cachelines — the
-// property the harness OpSlot array and the JiffyMap hot members rely on.
+// property the harness start/stop flags and the JiffyMap hot members rely on.
 static_assert(sizeof(CachePadded<std::uint64_t[4]>) % kCacheLineBytes == 0);
 
 struct TwoPadded {
