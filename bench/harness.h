@@ -513,15 +513,19 @@ void run_index(const RunConfig& cfg, const char* name) {
       warm.seconds = cfg.warmup;
       run_cell(idx, warm, threads, chooser);
     }
-    // Counter deltas are taken AFTER warmup so the attributed window covers
-    // exactly the measured reps (cells run sequentially; see MetricsSnapshot).
-    const obs::MetricsSnapshot snap0 = obs::snapshot();
-    RowResult r = run_cell(idx, cfg, threads, chooser);
-    for (int rep = 1; rep < cfg.reps; ++rep) {
+    // Counter deltas are taken around each rep, after warmup, and the kept
+    // rep's delta is reported: the counters cover the same window as the
+    // rates (cells run sequentially; see MetricsSnapshot).
+    RowResult r;
+    obs::MetricsSnapshot delta;
+    for (int rep = 0; rep < cfg.reps; ++rep) {
+      const obs::MetricsSnapshot snap0 = obs::snapshot();
       const RowResult q = run_cell(idx, cfg, threads, chooser);
-      if (q.total_mops > r.total_mops) r = q;
+      if (rep == 0 || q.total_mops > r.total_mops) {
+        r = q;
+        delta = obs::snapshot() - snap0;
+      }
     }
-    const obs::MetricsSnapshot delta = obs::snapshot() - snap0;
     obs::LatHistogram all;
     for (int c = 0; c < kLatClassCount; ++c) all.merge(r.lat[c]);
     std::printf("%s,%s,%s,%s,%s,%s,%d,%.3f,%.3f,%.2f,%.2f,%.2f\n",

@@ -2,8 +2,8 @@
 //
 // The fig sweeps in BENCH_RESULTS/ showed the engine scaling *backwards*
 // with threads; the shared culprits were single hot atomics written on every
-// operation (JiffyMap::size_, the autoscaler tallies, the harness counter
-// block) sharing cachelines with each other and with read-mostly state.
+// operation (JiffyMap::size_, the harness counter block) sharing cachelines
+// with each other and with read-mostly state.
 // This header provides the two building blocks the fix is made of:
 //
 //   * CachePadded<T> — a value alone on its own destructive-interference
@@ -24,7 +24,7 @@
 //
 // Memory-order note: all slot traffic is relaxed on purpose. The counters
 // are statistics — nothing is published *through* them, and every consumer
-// (approx_size, the autoscaler refresh, the harness post-join readout)
+// (approx_size, the obs event counters, the harness post-join readout)
 // either tolerates approximate values or is ordered by a stronger external
 // edge (thread join, the purge flag). See DESIGN.md §10 justified-relaxed
 // classes and §14 for the fast-path contention budget this enforces.
@@ -103,19 +103,6 @@ class StripedCounter {
       // relaxed: sharded statistic readout; the sum is approximate by
       // contract while writers run (see class comment).
       sum += s.v.load(std::memory_order_relaxed);
-    return sum;
-  }
-
-  // Harvest-and-reset for windowed consumers (the autoscaler EMA refresh):
-  // returns the sum of all slots while zeroing them. Deltas racing the sweep
-  // land in whichever window reads their slot next — never lost, never
-  // double-counted (exchange takes each value exactly once).
-  std::int64_t drain() {
-    std::int64_t sum = 0;
-    for (Slot& s : slots_)
-      // relaxed: windowed harvest; exchange moves each slot's total into
-      // exactly one window, and windows need no cross-slot ordering.
-      sum += s.v.exchange(0, std::memory_order_relaxed);
     return sum;
   }
 

@@ -45,6 +45,8 @@
 //   * The protocol windows (install→stamp, marker→union, group→watermark)
 //     carry named schedule points (schedule_points.h): free in release
 //     builds, fault-injection hooks in test builds.
+// The revision format (Revision, VersionCell, BatchDescriptor, the builder
+// and splice) is in core/revision.h; versioned reads are in core/snapshot.h.
 #pragma once
 
 #include <algorithm>
@@ -55,7 +57,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <new>
 #include <optional>
 #include <span>
@@ -64,10 +65,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/block_cache.h"
 #include "common/analysis.h"
 #include "common/prefetch.h"
 #include "common/striped_counter.h"
+#include "core/revision.h"
 #include "core/schedule_points.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -77,8 +78,6 @@
 #include "workload/rng.h"
 
 namespace jiffy {
-
-inline constexpr std::uint64_t kPendingVersion = ~0ull;
 
 // Bounded spin, then cede the CPU. The protocol windows writers wait out
 // (a pending merge marker, a half-installed batch group) are a handful of
@@ -104,396 +103,6 @@ class SpinBackoff {
  private:
   static constexpr int kSpinLimit = 64;
   int spins_ = 0;
-};
-
-enum class RevKind : std::uint8_t {
-  kPlain,     // single-key update (or split part)
-  kBatch,     // member of an atomic batch (§3.4)
-  kMerge,     // union revision absorbing the successor node (§3.3.6)
-  kAbsorbed,  // tombstone marker: this node's content moved to rev->home
-};
-
-// Shared version for multi-revision atomic installs (splits, merges and
-// batches). A batch cell additionally owns the published BatchDescriptor
-// (type-erased here so the cell stays untemplated); it is freed with the
-// cell.
-struct VersionCell {
-  std::atomic<std::uint64_t> version{kPendingVersion};
-  std::atomic<std::uint32_t> refs{0};
-  void* batch = nullptr;
-  void (*batch_deleter)(void*) = nullptr;
-
-  ~VersionCell() {
-    if (batch && batch_deleter) batch_deleter(batch);
-  }
-};
-
-// Published description of an in-flight atomic batch (§3.4): the sorted,
-// last-wins-deduplicated op list plus the install watermark. Reachable from
-// any installed kBatch revision as rev->cell->batch — this is the helping
-// hook: a thread blocked on a pending batch revision replays ops[installed..)
-// itself through JiffyMap::run_batch instead of spinning. The watermark only
-// ever moves forward, by compare-exchange, from one group boundary to the
-// next (every mover learned the target boundary from the installed
-// revision's batch_hi or computed it from the same stable successor), so
-// racing helpers agree on every transition.
-template <class K, class V>
-struct BatchDescriptor {
-  std::vector<BatchOp<K, V>> ops;
-  std::atomic<std::size_t> installed{0};  // ops[0, installed) have revisions
-
-  static void destroy(void* p) { delete static_cast<BatchDescriptor*>(p); }
-};
-
-template <class K, class V>
-struct JiffyNode;
-
-// An immutable sorted entry array; the unit of update and of multiversioned
-// reads. Published by a CAS on JiffyNode::rev and retired through EBR (unref)
-// by the thread whose CAS swung that head pointer away from it: a node's rev
-// is the only pointer that keeps a revision alive. `prev` edges are not
-// counted — one may dangle after reclamation, but the version rule keeps
-// readers off it.
-//
-// Entries live *inline*, directly after the struct in the same allocation
-// (one less indirection per read): allocate() sizes the block, the builder
-// placement-constructs entries, and the class-scope operator delete keeps
-// plain `delete` (and EBR's deleter) freeing the whole block. The header is
-// 56 bytes (DESIGN.md §1), so a merge marker is a header-only 56-byte block.
-template <class K, class V>
-struct Revision {
-  using Entry = std::pair<K, V>;
-
-  // kind and count lead: with version and cell they are what every lookup
-  // of the revision reads, so they share its first 24 bytes.
-  RevKind kind = RevKind::kPlain;
-  std::uint32_t count = 0;           // constructed entries in the inline array
-  std::atomic<std::uint64_t> version{kPendingVersion};
-  VersionCell* cell = nullptr;       // shared version (splits/batches/merges)
-  Revision* prev = nullptr;          // the revision this one replaced
-  JiffyNode<K, V>* sibling = nullptr;    // split: first new right-hand node
-  // One word that at most one kind of revision uses (DESIGN.md §1): a
-  // non-null `sibling`, `kind` or the batch's own `cell` says which member
-  // was written, and only that one is read.
-  union {
-    // Part 0 of a split (sibling != nullptr): next(0) value to CAS from.
-    JiffyNode<K, V>* link_expect = nullptr;
-    // kAbsorbed: the node that absorbed this one.
-    JiffyNode<K, V>* home;
-    // kBatch: end (excl.) of the op group this revision applied — lets
-    // helpers tell "group installed, watermark lagging" from "earlier group
-    // stacked here by a tombstone re-route"; as wide as
-    // BatchDescriptor::installed so huge batches cannot wrap it.
-    std::size_t batch_hi;
-  };
-  std::uint32_t cap = 0;             // inline array capacity (allocation size)
-  std::uint32_t alloc_bytes = 0;  // block size allocate() drew, for dispose()
-
-  // Bytes the header and the constructed entries occupy: alloc_bytes less
-  // this is the block's slack (JiffyMap::debug_stats).
-  std::size_t used_bytes() const {
-    return entry_offset() + std::size_t{count} * sizeof(Entry);
-  }
-
-  static constexpr std::size_t entry_offset() {
-    return (sizeof(Revision) + alignof(Entry) - 1) / alignof(Entry) *
-           alignof(Entry);
-  }
-
-  Entry* entry_data() {
-    return reinterpret_cast<Entry*>(reinterpret_cast<unsigned char*>(this) +
-                                    entry_offset());
-  }
-  const Entry* entry_data() const {
-    return reinterpret_cast<const Entry*>(
-        reinterpret_cast<const unsigned char*>(this) + entry_offset());
-  }
-
-  const Entry* begin() const { return entry_data(); }
-  const Entry* end() const { return entry_data() + count; }
-  const Entry& entry(std::uint32_t i) const { return entry_data()[i]; }
-
-  static Revision* allocate(std::uint32_t capacity) {
-    // Plain ::operator new only guarantees the default alignment; the
-    // inline array would silently misalign an over-aligned Entry type.
-    static_assert(alignof(Entry) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
-                  "over-aligned key/value types need an aligned allocator");
-    // Revisions cycle at op rate (every update builds one and retires one),
-    // so draw from the per-thread block cache: the most recently disposed
-    // same-class block comes back first, skipping the allocator round trip
-    // the EBR delay would otherwise turn into a cold miss (DESIGN.md §14.3).
-    const std::size_t bytes = ThreadBlockCache::usable_size(
-        entry_offset() + std::size_t{capacity} * sizeof(Entry));
-    void* mem = ThreadBlockCache::allocate(bytes);
-    auto* r = ::new (mem) Revision();
-    r->cap = capacity;
-    r->alloc_bytes = static_cast<std::uint32_t>(bytes);
-    return r;
-  }
-
-  // The cache-aware free: every engine path funnels here (via unref). Reads
-  // the block size before ending the object's lifetime, so the recycle needs
-  // no out-of-band size map. Plain `delete` stays correct as a fallback —
-  // operator delete below returns the block to the system allocator.
-  static void dispose(Revision* r) {
-    const std::size_t bytes = r->alloc_bytes;
-    r->~Revision();
-    ThreadBlockCache::deallocate(r, bytes);
-  }
-
-  static void operator delete(void* p) { ::operator delete(p); }
-
-  ~Revision() {
-    Entry* e = entry_data();
-    for (std::uint32_t i = 0; i < count; ++i) e[i].~Entry();
-    if (cell &&
-        cell->refs.fetch_sub(1, std::memory_order_acq_rel) ==  // pairs: cell-refs
-            1)
-      delete cell;
-  }
-
-  std::uint64_t version_now() const {
-    return cell
-               ? cell->version.load(std::memory_order_seq_cst)  // pairs: version-stamp
-               : version.load(std::memory_order_seq_cst);  // pairs: version-stamp
-  }
-
-  // Stamp a pending version with `t`; loses to any concurrent stamp.
-  void stamp(std::uint64_t t) {
-    std::uint64_t expected = kPendingVersion;
-    if (cell)
-      cell->version.compare_exchange_strong(
-          expected, t, std::memory_order_seq_cst);  // pairs: version-stamp
-    else
-      version.compare_exchange_strong(
-          expected, t, std::memory_order_seq_cst);  // pairs: version-stamp
-  }
-
-  // (Reader-side stamping policy lives in JiffyMap::try_help_stamp: plain
-  // revisions and split parts always, batch revisions once their descriptor
-  // reports every install done, merge revisions always — meeting one proves
-  // the merge's second and final CAS landed. Pending kAbsorbed markers are
-  // never stamped: their merge may still abort.)
-
-  // Lower-bound position of k (first entry not less than k): the one search
-  // every in-revision lookup goes through (DESIGN.md §3). Branchless: each
-  // step halves the window [base, base + n) and picks the half by a
-  // conditional move, so no step waits on a mispredicted compare, and it
-  // prefetches both possible next probes while the current compare
-  // resolves (§14.2). `lo` narrows the search to [lo, end()): splice()
-  // resumes each op's search past the previous op.
-  template <class Less>
-  const Entry* lower_bound_pos(const K& k, const Less& less,
-                               const Entry* lo = nullptr) const {
-    const Entry* base = lo ? lo : begin();
-    std::size_t n = static_cast<std::size_t>(end() - base);
-    if (n == 0) return base;
-    while (n > 1) {  // the answer lies in [base, base + n]
-      const std::size_t half = n / 2;
-      n -= half;
-      prefetch_ro(base + n / 2);         // next probe if this one stays left
-      prefetch_ro(base + half + n / 2);  // next probe if it moves right
-      base = less(base[half].first, k) ? base + half : base;
-    }
-    return base + (less(base->first, k) ? 1 : 0);
-  }
-
-  // First entry greater than k (keys are unique within a revision).
-  template <class Less>
-  const Entry* upper_bound_pos(const K& k, const Less& less) const {
-    const Entry* at = lower_bound_pos(k, less);
-    return at + (holds(at, k, less) ? 1 : 0);
-  }
-
-  // Whether lower-bound position `at` holds k itself.
-  template <class Less>
-  bool holds(const Entry* at, const K& k, const Less& less) const {
-    return at != end() && !less(k, at->first);
-  }
-
-  // The point lookup of get and contains.
-  template <class Less>
-  const Entry* find_binary(const K& k, const Less& less) const {
-    const Entry* it = lower_bound_pos(k, less);
-    return holds(it, k, less) ? it : nullptr;
-  }
-
-  template <class Less>  // frozen-benchmark shim, defined below
-  const Entry* find(const K& k, std::uint16_t tag, const Less& less) const;
-
-  // Drop the revision's one reference: retire it through EBR, or dispose
-  // of it at once when no reader can reach it (`immediate`: an install
-  // loser that was never published, or single-threaded teardown).
-  static void unref(Revision* r, bool immediate = false) {
-    if (immediate) {
-      obs::trace_retire(r, r->alloc_bytes, obs::RetireTag::kRevUnrefImmediate);
-      dispose(r);
-      return;
-    }
-    obs::trace_retire(r, r->alloc_bytes, obs::RetireTag::kRevUnref);
-    ebr::retire_fn(r, [](void* q) {  // unlink: rev-unref
-      dispose(static_cast<Revision*>(q));
-    });
-  }
-};
-
-// ---- frozen-benchmark shim --------------------------------------------------
-// The repository benchmark (perfbench/, changed only together with
-// BENCHMARK.json) still names three symbols of the revision hash index that
-// DESIGN.md §3 removed: fold_hash16, the tagged Revision::find and a third
-// RevisionBuilder template argument. They are kept inert so it compiles: the
-// tag and the template argument are ignored, so its
-// core.revision.find_hash_ns probe times find_binary. Delete this block
-// together with that probe.
-inline std::uint16_t fold_hash16(std::size_t h) {
-  std::uint64_t x = h;
-  x ^= x >> 33;
-  x *= 0xFF51AFD7ED558CCDull;
-  x ^= x >> 29;
-  return static_cast<std::uint16_t>(x ^ (x >> 16));
-}
-
-template <class K, class V>
-template <class Less>
-const typename Revision<K, V>::Entry* Revision<K, V>::find(
-    const K& k, std::uint16_t /*tag*/, const Less& less) const {
-  return find_binary(k, less);
-}
-
-template <class K, class V, class Unused = std::hash<K>>
-class RevisionBuilder;
-// ---- end of frozen-benchmark shim -------------------------------------------
-
-// Builds a revision from entries emitted or appended in ascending key order;
-// finish() hands it over.
-template <class K, class V, class>
-class RevisionBuilder {
- public:
-  using Rev = Revision<K, V>;
-  using Entry = typename Rev::Entry;
-
-  RevisionBuilder(RevKind kind, std::uint32_t capacity,
-                  std::uint64_t version = kPendingVersion)
-      : rev_(Rev::allocate(capacity)) {
-    rev_->kind = kind;
-    // relaxed: the revision is thread-private until the install CAS.
-    rev_->version.store(version, std::memory_order_relaxed);
-  }
-  RevisionBuilder(RevisionBuilder&& o) noexcept
-      : rev_(std::exchange(o.rev_, nullptr)) {}
-
-  ~RevisionBuilder() {
-    if (rev_) Rev::dispose(rev_);
-  }
-
-  void emit(K k, V v) {
-    assert(rev_->count < rev_->cap);
-    ::new (rev_->entry_data() + rev_->count)
-        Entry(std::move(k), std::move(v));
-    ++rev_->count;
-  }
-
-  // Copy a run of existing entries in one go (the bulk of every rebuild).
-  void append(const Entry* first, const Entry* last) {
-    assert(last - first <= room());
-    std::uninitialized_copy(first, last, rev_->entry_data() + rev_->count);
-    rev_->count += static_cast<std::uint32_t>(last - first);
-  }
-
-  std::uint32_t room() const { return rev_->cap - rev_->count; }
-
-  Rev* finish() { return std::exchange(rev_, nullptr); }
-
- private:
-  Rev* rev_;
-};
-
-// The one copy-on-write rewrite (DESIGN.md §1): feeds `out` (a builder or
-// a PartSink) r's entries with the sorted, key-unique `ops` applied. Per
-// op: binary-search its position among the entries not yet copied, append
-// the untouched run before it, skip the entry it replaces or erases, and
-// emit a put's new entry; the tail follows in one more append. `at`, when
-// given, is ops' first position (put and erase already searched for it).
-// An op that lands right where the previous one left off (a dense batch
-// group) costs one compare and no search.
-template <class K, class V, class Less, class Sink>
-void splice(const Revision<K, V>& r, std::span<const BatchOp<K, V>> ops,
-            const Less& less, Sink& out,
-            const typename Revision<K, V>::Entry* at = nullptr) {
-  const auto* it = r.begin();
-  for (const BatchOp<K, V>& op : ops) {
-    const auto* pos = at ? at : it;
-    if (pos != r.end() && less(pos->first, op.key))
-      pos = r.lower_bound_pos(op.key, less, pos + 1);
-    at = nullptr;
-    out.append(it, pos);
-    it = pos + (r.holds(pos, op.key, less) ? 1 : 0);
-    if (op.kind == BatchOp<K, V>::Kind::kPut) out.emit(op.key, op.value);
-  }
-  out.append(it, r.end());
-}
-
-// Splice sink that records a rewrite instead of performing it: the runs of
-// the old revision to copy and the entries to write, in order, and how many
-// entries they make. A batch group sizes its revision from the count, then
-// replays the script into the builder without searching again.
-template <class K, class V>
-struct ScriptSink {
-  using Entry = std::pair<K, V>;
-  struct Step {
-    const Entry* first;  // a run [first, last) to copy, or null for an entry
-    const Entry* last;
-    const K* key;
-    const V* value;
-  };
-  std::vector<Step> steps;
-  std::uint32_t n = 0;
-
-  void append(const Entry* first, const Entry* last) {
-    if (first == last) return;
-    steps.push_back({first, last, nullptr, nullptr});
-    n += static_cast<std::uint32_t>(last - first);
-  }
-  void emit(const K& k, const V& v) {
-    steps.push_back({nullptr, nullptr, &k, &v});
-    ++n;
-  }
-  template <class Sink>
-  void replay(Sink& out) const {
-    for (const Step& s : steps) {
-      if (s.first)
-        out.append(s.first, s.last);
-      else
-        out.emit(*s.key, *s.value);
-    }
-  }
-  void clear() {
-    steps.clear();
-    n = 0;
-  }
-};
-
-// Splice sink for a split: cuts the rebuilt entry stream into consecutive
-// revisions, one builder per part, each sized up front and filled in turn,
-// so every run is copied once, in one append per part it spans.
-template <class K, class V>
-struct PartSink {
-  using Builder = RevisionBuilder<K, V>;
-  std::vector<Builder> parts;
-  std::size_t cur = 0;
-
-  Builder& open() {
-    while (parts[cur].room() == 0) ++cur;
-    return parts[cur];
-  }
-  void append(const typename Builder::Entry* first,
-              const typename Builder::Entry* last) {
-    for (std::ptrdiff_t n; first != last; first += n) {
-      n = std::min<std::ptrdiff_t>(open().room(), last - first);
-      parts[cur].append(first, first + n);
-    }
-  }
-  void emit(const K& k, const V& v) { open().emit(k, v); }
 };
 
 // A fat node: a key range plus the head of its revision chain. `next(0)` is
@@ -749,7 +358,8 @@ class JiffyMap {
   }
 
   explicit JiffyMap(const JiffyConfig& cfg)
-      : cfg_(cfg), scaler_(byte_scaled(cfg.autoscaler)) {
+      : auto_purge_(cfg.reclaim.auto_purge),
+        scaler_(byte_scaled(cfg.autoscaler)) {
     head_ = Node::create(Node::kMaxHeight, /*head=*/true, K{});
     Builder b(RevKind::kPlain, 0, /*version=*/0);
     head_->rev.store(b.finish(), std::memory_order_release);  // pairs: rev-install
@@ -789,75 +399,10 @@ class JiffyMap {
   // ---- single-key operations ----------------------------------------------
 
   // Insert or overwrite. Returns true if the key was newly inserted.
-  bool put(const K& k, const V& v) {
-    scaler_.note(/*is_read=*/false);
-    ebr::Guard g;
-    g.assert_held();
-    // Install losses escalate to yield: a lost head CAS means another writer
-    // landed on this node, and each retry re-copies the whole revision, so a
-    // skewed workload on an oversubscribed core turns a hot node into a storm
-    // of doomed multi-KB rebuilds. Two consecutive losses ⇒ donate the slice
-    // to the contending writer instead of racing it. Uncontended puts never
-    // lose, so the counter costs nothing on the fast path.
-    const BatchOp<K, V> op = BatchOp<K, V>::put(k, v);
-    for (int losses = 0;;) {
-      auto [x, r] = locate(k, g);
-      if (wait_writable(x, r, g) != r) continue;  // head moved: re-route
-      if (r->kind == RevKind::kAbsorbed) continue;  // merge committed here
-      // One search: hit or miss, the new size, the split and the splice.
-      const Entry* at = r->lower_bound_pos(k, less_);
-      const bool hit = r->holds(at, k, less_);
-      const std::uint32_t newn = r->count + (hit ? 0 : 1);
-      if (newn > effective_max_size() && newn >= 4) {
-        if (install_split(x, r, {&op, 1}, at, newn, g)) {
-          if (!hit) size_.increment();  // sharded; see approx_size
-          return !hit;
-        }
-        JIFFY_COUNT(cas_install_lost);
-        if (++losses >= 2) std::this_thread::yield();
-        continue;
-      }
-      Builder b(RevKind::kPlain, newn);
-      splice(*r, {&op, 1}, less_, b, at);
-      Rev* nr = b.finish();
-      nr->prev = r;
-      if (install_plain(x, r, nr, g)) {
-        if (!hit) size_.increment();  // sharded; see approx_size
-        maybe_merge(x, g);
-        return !hit;
-      }
-      Rev::unref(nr, /*immediate=*/true);
-      JIFFY_COUNT(cas_install_lost);
-      if (++losses >= 2) std::this_thread::yield();
-    }
-  }
+  bool put(const K& k, const V& v) { return write(BatchOp<K, V>::put(k, v)); }
 
   // Remove. Returns true if the key was present.
-  bool erase(const K& k) {
-    scaler_.note(/*is_read=*/false);
-    ebr::Guard g;
-    g.assert_held();
-    const BatchOp<K, V> op = BatchOp<K, V>::remove(k);
-    for (int losses = 0;;) {  // same loss escalation as put()
-      auto [x, r] = locate(k, g);
-      if (wait_writable(x, r, g) != r) continue;  // head moved: re-route
-      if (r->kind == RevKind::kAbsorbed) continue;  // merge committed here
-      const Entry* at = r->lower_bound_pos(k, less_);
-      if (!r->holds(at, k, less_)) return false;
-      Builder b(RevKind::kPlain, r->count - 1);
-      splice(*r, {&op, 1}, less_, b, at);
-      Rev* nr = b.finish();
-      nr->prev = r;
-      if (install_plain(x, r, nr, g)) {
-        size_.decrement();  // sharded; see approx_size
-        maybe_merge(x, g);
-        return true;
-      }
-      Rev::unref(nr, /*immediate=*/true);
-      JIFFY_COUNT(cas_install_lost);
-      if (++losses >= 2) std::this_thread::yield();
-    }
-  }
+  bool erase(const K& k) { return write(BatchOp<K, V>::remove(k)); }
 
   std::optional<V> get(const K& k) const {
     scaler_.note(/*is_read=*/true);
@@ -915,7 +460,7 @@ class JiffyMap {
     // relaxed: the cell is thread-private until the first install CAS.
     cell->refs.store(1, std::memory_order_relaxed);
     run_batch(desc, cell, g);
-    release_cell(cell);
+    VersionCell::release(cell);
   }
 
   // ---- scans and snapshots ------------------------------------------------
@@ -1076,16 +621,51 @@ class JiffyMap {
     return s;
   }
 
-  std::size_t size_slow() const {
-    std::size_t n = 0;
-    for_each_level0([&](Node*, Rev* r) { n += r->count; });
-    return n;
-  }
-
  private:
   friend class Snapshot<JiffyMap>;
   template <class MapT>
   friend class SnapPos;
+
+  // The single-key write behind put and erase: true if a put inserted or an
+  // erase removed the key; erasing an absent key writes nothing. Two
+  // consecutive install losses yield: each retry re-copies the revision, so
+  // on an oversubscribed core a hot node would become a storm of doomed
+  // rebuilds; donate the slice to the writer that won instead.
+  bool write(const BatchOp<K, V>& op) {
+    scaler_.note(/*is_read=*/false);
+    ebr::Guard g;
+    g.assert_held();
+    const bool is_put = op.kind == BatchOp<K, V>::Kind::kPut;
+    for (int losses = 0;;) {
+      auto [x, r] = locate(op.key, g);
+      if (wait_writable(x, r, g) != r) continue;  // head moved: re-route
+      if (r->kind == RevKind::kAbsorbed) continue;  // merge committed here
+      // One search: hit or miss, the new size, the split and the splice.
+      const Entry* at = r->lower_bound_pos(op.key, less_);
+      const bool hit = r->holds(at, op.key, less_);
+      if (!is_put && !hit) return false;
+      const std::uint32_t newn = is_put ? r->count + !hit : r->count - 1;
+      const bool split = is_put && newn > effective_max_size() && newn >= 4;
+      bool done;
+      if (split) {
+        done = install_split(x, r, {&op, 1}, at, newn, g);
+      } else {
+        Builder b(RevKind::kPlain, newn);
+        splice(*r, {&op, 1}, less_, b, at);
+        Rev* nr = b.finish();
+        nr->prev = r;
+        done = install_plain(x, r, nr, g);
+        if (!done) Rev::unref(nr, /*immediate=*/true);
+      }
+      if (done) {
+        if (is_put != hit) size_.add(is_put ? 1 : -1);  // see approx_size
+        if (!split) maybe_merge(x, g);
+        return is_put != hit;
+      }
+      JIFFY_COUNT(cas_install_lost);
+      if (++losses >= 2) std::this_thread::yield();
+    }
+  }
 
   // ---- location -----------------------------------------------------------
 
@@ -1128,23 +708,10 @@ class JiffyMap {
     const bool sampled = obs::sample_tick();
     [[maybe_unused]] std::uint32_t anchor_loads = 0, passed = 0, tombs = 0;
     for (;;) {
-      Node* x = head_;
-      for (int l = top_level(); l >= 1; --l) {
-        for (Node* nxt =
-                 x->next(l).load(std::memory_order_acquire);  // pairs: next-link
-             nxt;
-             nxt = x->next(l).load(std::memory_order_acquire)) {  // pairs: next-link
-          ++anchor_loads;
-          if (less_(k, nxt->anchor)) break;
-          x = nxt;
-        }
-        // Foresight (DESIGN.md §14): the next hop reads the same tower slot
-        // one level down — warm its target's header while this level's loop
-        // bookkeeping retires, hiding the dependent miss of the descent.
-        // relaxed: the pointer feeds prefetch_ro only and is never
-        // dereferenced; the traversal reload above carries the acquire edge.
-        prefetch_ro(x->next(l - 1).load(std::memory_order_relaxed));
-      }
+      Node* x = descend(1, [&](Node* n) {
+        ++anchor_loads;
+        return !less_(k, n->anchor);
+      }, g);
       // A node counts as dead only once its marker is STAMPED (merge
       // committed). A pending marker may still be rolled back, so its node
       // must keep owning its range; writers routed there wait the marker
@@ -1212,21 +779,40 @@ class JiffyMap {
     }
   }
 
+  // The one tower descent: from the head down to `level`, stepping right on
+  // each level while the successor is `past`. Returns the last node passed
+  // on `level` (the head if none). Anchors are immutable and towers are
+  // insert-only, so a plain walk suffices: locate and stats_resume pass
+  // anchors <= k, index_insert anchors below the new node's, and
+  // SnapPos::rightmost every node.
+  template <class Past>
+  Node* descend(int level, const Past& past,
+                [[maybe_unused]] const ebr::Guard& g) const
+      JIFFY_REQUIRES_GUARD(g) {
+    Node* x = head_;
+    for (int l = top_level(); l >= level; --l) {
+      for (Node* nxt =
+               x->next(l).load(std::memory_order_acquire);  // pairs: next-link
+           nxt && past(nxt);
+           nxt = x->next(l).load(std::memory_order_acquire))  // pairs: next-link
+        x = nxt;
+      // Foresight (DESIGN.md §14): the next hop reads the same tower slot
+      // one level down — warm its target's header while this level's loop
+      // bookkeeping retires, hiding the dependent miss of the descent.
+      // relaxed: the pointer feeds prefetch_ro only and is never
+      // dereferenced; the traversal reload above carries the acquire edge.
+      if (l > 0) prefetch_ro(x->next(l - 1).load(std::memory_order_relaxed));
+    }
+    return x;
+  }
+
   // Resume point for the chunked introspection walk: the first level-0 node
   // whose anchor is strictly greater than k, tombstones INCLUDED — locate()
   // cannot serve here because it hops off absorbed shells, which the stats
-  // walk must count. Plain tower descent; anchors are immutable.
+  // walk must count.
   Node* stats_resume(const K& k, const ebr::Guard& g) const
       JIFFY_REQUIRES_GUARD(g) {
-    g.assert_held();
-    Node* x = head_;
-    for (int l = top_level(); l >= 0; --l) {
-      for (Node* nxt =
-               x->next(l).load(std::memory_order_acquire);  // pairs: next-link
-           nxt && !less_(k, nxt->anchor);
-           nxt = x->next(l).load(std::memory_order_acquire))  // pairs: next-link
-        x = nxt;
-    }
+    Node* x = descend(0, [&](Node* n) { return !less_(k, n->anchor); }, g);
     return x->next(0).load(std::memory_order_seq_cst);  // pairs: next-link
   }
 
@@ -1442,21 +1028,16 @@ class JiffyMap {
   //     a torn batch. A reader that stamps with its own (newer) clock
   //     instead resolves the batch to one side of its snapshot for
   //     everyone;
-  //   * merge revisions: meeting one proves the merge's second and final
-  //     CAS landed (pending kMerge only ever appears at a node head, and
-  //     the rollback path never publishes it), so only the stamp is
-  //     missing; same late-stamp argument as batches;
+  //   * merge unions (plain revisions under the merge's cell): meeting one
+  //     proves the merge's second and final CAS landed (a pending union only
+  //     ever appears at a node head, and the rollback path never publishes
+  //     it), so only the stamp is missing; same late-stamp argument as
+  //     batches;
   //   * kAbsorbed markers: never — their merge may still abort.
   bool try_help_stamp(Rev* r, [[maybe_unused]] const ebr::Guard& g) const
       JIFFY_REQUIRES_GUARD(g) {
     if (r->kind == RevKind::kAbsorbed) return false;
-    if (!r->cell) {
-      if (r->kind != RevKind::kPlain) return false;
-      r->stamp(clock_.read());
-      JIFFY_COUNT(help_stamp);
-      return true;
-    }
-    if (r->kind == RevKind::kBatch) {
+    if (r->kind == RevKind::kBatch) {  // a batch revision always has a cell
       auto* d = static_cast<BatchDescriptor<K, V>*>(r->cell->batch);
       if (!d ||
           d->installed.load(std::memory_order_seq_cst) !=  // pairs: batch-watermark
@@ -1595,7 +1176,7 @@ class JiffyMap {
 
   // Autoscaler growth path (§3.3.6): when x plus its successor together fit
   // comfortably under the target, absorb the successor. Two installs under
-  // one shared VersionCell — an kAbsorbed tombstone at s and a kMerge union
+  // one shared VersionCell — a kAbsorbed tombstone at s and a plain union
   // at x — stamped once, so readers see the merge atomically. Entirely
   // opportunistic: any interference aborts (with a rollback of the marker
   // if only the first CAS had landed) rather than waiting, which keeps the
@@ -1633,7 +1214,7 @@ class JiffyMap {
     marker->prev = rs;
     marker->home = x;
 
-    Builder b(RevKind::kMerge, static_cast<std::uint32_t>(combined));
+    Builder b(RevKind::kPlain, static_cast<std::uint32_t>(combined));
     b.append(rx->begin(), rx->end());
     b.append(rs->begin(), rs->end());
     Rev* merged = b.finish();
@@ -1647,7 +1228,7 @@ class JiffyMap {
             expect, marker, std::memory_order_seq_cst)) {  // pairs: rev-install
       Rev::unref(marker, /*immediate=*/true);
       Rev::unref(merged, /*immediate=*/true);
-      release_cell(cell);
+      VersionCell::release(cell);
       return;
     }
     sched::point(sched::Point::kMergeMarker);
@@ -1670,7 +1251,7 @@ class JiffyMap {
       Rev::unref(rs);     // retire strictly after the restore's stamp
       Rev::unref(marker);  // now chain-only; never stamped, always skipped
       Rev::unref(merged, /*immediate=*/true);
-      release_cell(cell);
+      VersionCell::release(cell);
       return;
     }
     sched::point(sched::Point::kMergeStamp);
@@ -1678,7 +1259,7 @@ class JiffyMap {
     JIFFY_COUNT(merge);
     Rev::unref(rx);
     Rev::unref(rs);
-    release_cell(cell);
+    VersionCell::release(cell);
     // relaxed: purge-trigger estimates; crossing the trigger late or twice
     // is harmless (purge() self-serializes on purging_).
     const std::int64_t live =
@@ -1686,15 +1267,10 @@ class JiffyMap {
     // relaxed: same advisory estimate as the live count above.
     const std::int64_t dead =
         dead_shells_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (cfg_.reclaim.auto_purge &&
+    if (auto_purge_ &&
         dead >= static_cast<std::int64_t>(purge_trigger(
                     static_cast<std::size_t>(std::max<std::int64_t>(live, 0)))))
       purge();
-  }
-
-  static void release_cell(VersionCell* c) {
-    if (c->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)  // pairs: cell-refs
-      delete c;
   }
 
   // ---- reclamation internals (purge(), DESIGN.md §9) ----------------------
@@ -1856,10 +1432,9 @@ class JiffyMap {
 
   // ---- misc ---------------------------------------------------------------
 
+  // The autoscaler's target, which is fixed_size when it is disabled.
   std::uint32_t effective_max_size() const {
-    const std::uint32_t t = cfg_.autoscaler.enabled
-                                ? scaler_.target()
-                                : cfg_.autoscaler.fixed_size;
+    const std::uint32_t t = scaler_.target();
     return t < 2 ? 2 : t;
   }
 
@@ -1888,8 +1463,7 @@ class JiffyMap {
   // Link a freshly split node into tower levels 1..height-1. Only its
   // creator calls this; towers are insert-only so a plain CAS per level
   // suffices.
-  void index_insert(Node* m, [[maybe_unused]] const ebr::Guard& g)
-      JIFFY_REQUIRES_GUARD(g) {
+  void index_insert(Node* m, const ebr::Guard& g) JIFFY_REQUIRES_GUARD(g) {
     // relaxed: top_ is advisory (top_level()); the CAS only keeps it
     // monotone, and its failure writeback reloads the expected value.
     int t = top_.load(std::memory_order_relaxed);
@@ -1900,14 +1474,8 @@ class JiffyMap {
     }
     for (int l = 1; l < m->height; ++l) {
       for (;;) {
-        Node* pred = head_;
-        for (int dl = top_level(); dl >= l; --dl) {
-          for (Node* nxt =
-                   pred->next(dl).load(std::memory_order_acquire);  // pairs: next-link
-               nxt && less_(nxt->anchor, m->anchor);
-               nxt = pred->next(dl).load(std::memory_order_acquire))  // pairs: next-link
-            pred = nxt;
-        }
+        Node* pred = descend(
+            l, [&](Node* n) { return less_(n->anchor, m->anchor); }, g);
         Node* succ =
             pred->next(l).load(std::memory_order_acquire);  // pairs: next-link
         if (succ == m) break;
@@ -1921,13 +1489,14 @@ class JiffyMap {
     }
   }
 
-  JiffyConfig cfg_;
+  const bool auto_purge_;  // JiffyConfig::Reclaim
   Less less_{};
   Clock clock_{};
   mutable RevisionAutoscaler scaler_;
   // Hot shared state below is cacheline-padded so independently-written
   // atomics never false-share with each other or with the read-mostly
-  // members above (head_, cfg_); see DESIGN.md §14 for the per-op budget.
+  // members above (head_, auto_purge_); see DESIGN.md §14 for the per-op
+  // budget.
   StripedCounter<kCounterShards> size_;
   Node* head_;
   std::atomic<int> top_{0};  // see top_level(); read by every descent

@@ -4,8 +4,9 @@
 // pins of its own, and Snapshot pins one version for its point reads, scans
 // and range views. JiffyMap's one-shot scans open a Snapshot for the call, so
 // every read holds one ticket. The walk reaches into JiffyMap through
-// head_, less_, top_level(), ensure_link() and try_help_stamp(), and
-// Snapshot through clock_. core/jiffy.h includes this header after JiffyMap.
+// head_, less_, top_level(), descend(), ensure_link() and try_help_stamp(),
+// and Snapshot through clock_. core/jiffy.h includes this header after
+// JiffyMap.
 #pragma once
 
 #include "core/jiffy.h"
@@ -224,13 +225,7 @@ class SnapPos {
   // Rightmost node currently linked (completing pending split links on the
   // way so the fringe is reachable); seeds seek_to_last.
   Node* rightmost(const ebr::Guard& g) const JIFFY_REQUIRES_GUARD(g) {
-    Node* x = map_->head_;
-    for (int l = map_->top_level(); l >= 1; --l)
-      for (Node* nxt =
-               x->next(l).load(std::memory_order_acquire);  // pairs: next-link
-           nxt;
-           nxt = x->next(l).load(std::memory_order_acquire))  // pairs: next-link
-        x = nxt;
+    Node* x = map_->descend(1, [](Node*) { return true; }, g);
     for (;;) {
       Rev* r = x->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
       if (r->sibling) map_->ensure_link(x, r, g);

@@ -3,10 +3,10 @@
 // Classic three-epoch scheme: threads pin the global epoch while inside a
 // Guard; retired objects are tagged with the epoch they were retired in and
 // freed once the global epoch has advanced twice past it (no pinned thread
-// can still hold a reference by then). Thread records are registered lazily,
-// recycled after thread exit, and never removed, so registration is
-// wait-free after the first call and safe for the short-lived worker threads
-// the bench harness spawns per cell.
+// can still hold a reference by then). Thread records live in a Registry
+// (common/registry.h): registered lazily, recycled after thread exit and
+// never removed, so the short-lived worker threads the bench harness spawns
+// per cell reuse them.
 //
 // Memory-order note: guard entry publishes the pinned epoch with seq_cst and
 // epoch bookkeeping is seq_cst throughout. Jiffy's snapshot-safety argument
@@ -45,6 +45,7 @@
 
 #include "common/analysis.h"
 #include "common/prefetch.h"
+#include "common/registry.h"
 #include "common/striped_counter.h"  // CachePadded, kCacheLineBytes
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -78,11 +79,11 @@ struct Retired {
 struct alignas(kCacheLineBytes) ThreadRec {
   // Epoch this thread is pinned at; kIdleEpoch when not inside a guard.
   std::atomic<std::uint64_t> pinned{kIdleEpoch};
-  std::atomic<bool> in_use{true};
+  std::atomic<bool> in_use{false};
   ThreadRec* next = nullptr;  // immutable after registration
   // Guard nesting depth and retired objects bucketed by (epoch % 3). Only
   // the owning thread touches these, and ownership hand-off goes through the
-  // in_use acquire/release.
+  // registry's in_use release and adopting CAS.
   int nest = 0;
   std::vector<Retired> limbo[3];
   std::uint64_t limbo_epoch[3] = {0, 0, 0};
@@ -91,13 +92,12 @@ struct alignas(kCacheLineBytes) ThreadRec {
 };
 
 struct Global {
-  // Padded apart: epoch is CASed by every try_advance while head is a
-  // read-mostly registry root loaded by every epoch scan — sharing a line
+  // Padded apart: epoch is CASed by every try_advance while the registry
+  // head is a read-mostly root loaded by every epoch scan — sharing a line
   // would make the advance CAS invalidate every scanner's cached head.
   CachePadded<std::atomic<std::uint64_t>> epoch_pad;
-  CachePadded<std::atomic<ThreadRec*>> head_pad;
+  Registry<ThreadRec> threads;
   std::atomic<std::uint64_t>& epoch = epoch_pad.value;
-  std::atomic<ThreadRec*>& head = head_pad.value;
   Global() {
     // relaxed: constructed once (function-local static) before any sharing.
     epoch.store(1, std::memory_order_relaxed);
@@ -129,9 +129,7 @@ inline std::uint64_t try_advance() {
   Global& g = global();
   const std::uint64_t e =
       g.epoch.load(std::memory_order_seq_cst);  // pairs: ebr-epoch
-  for (ThreadRec* r =
-           g.head.load(std::memory_order_acquire);  // pairs: registry-link
-       r; r = r->next) {
+  for (ThreadRec* r = g.threads.first(); r; r = r->next) {
     const std::uint64_t pinned =
         r->pinned.load(std::memory_order_seq_cst);  // pairs: ebr-pin
     if (pinned != kIdleEpoch && pinned != e) return e;
@@ -143,48 +141,7 @@ inline std::uint64_t try_advance() {
   return g.epoch.load(std::memory_order_seq_cst);  // pairs: ebr-epoch
 }
 
-inline ThreadRec* acquire_rec() {
-  Global& g = global();
-  for (ThreadRec* r =
-           g.head.load(std::memory_order_acquire);  // pairs: registry-link
-       r; r = r->next) {
-    bool expected = false;
-    // relaxed: racy pre-check only; the CAS below is the synchronizing op.
-    if (!r->in_use.load(std::memory_order_relaxed) &&
-        r->in_use.compare_exchange_strong(
-            expected, true,
-            std::memory_order_acq_rel))  // pairs: ebr-rec-recycle
-      return r;
-  }
-  auto* r = new ThreadRec;
-  ThreadRec* head = g.head.load(std::memory_order_acquire);  // pairs: registry-link
-  do {
-    r->next = head;
-  } while (!g.head.compare_exchange_weak(
-      head, r, std::memory_order_acq_rel,
-      std::memory_order_acquire));  // pairs: registry-link
-  return r;
-}
-
-struct ThreadHandle {
-  ThreadRec* rec = nullptr;
-
-  ThreadRec* get() {
-    if (!rec) rec = acquire_rec();
-    return rec;
-  }
-
-  ~ThreadHandle() {
-    if (rec)
-      rec->in_use.store(false,
-                        std::memory_order_release);  // pairs: ebr-rec-recycle
-  }
-};
-
-inline ThreadRec* my_rec() {
-  thread_local ThreadHandle handle;
-  return handle.get();
-}
+inline ThreadRec* my_rec() { return global().threads.mine(); }
 
 // Flush any bucket whose contents are two epochs stale.
 inline void collect(ThreadRec* rec, std::uint64_t now) {
@@ -315,9 +272,8 @@ namespace detail {
 
 inline constexpr std::uint64_t kIdleVersion = ~0ull;
 
-// Same lock-free registration/recycling pattern as ThreadRec, but per
-// *ticket*, not per thread: one thread may hold several (a snapshot plus
-// the cursors it handed out).
+// Registered like ThreadRec, but per *ticket*, not per thread: one thread
+// may hold several (a snapshot plus the cursors it handed out).
 // Cacheline-aligned for the same reason as ThreadRec: a slot's v is stored
 // on every ticket publish; unaligned, the 24-byte slots pack two-plus to a
 // line and concurrent ticket holders would ping-pong it.
@@ -327,39 +283,9 @@ struct alignas(kCacheLineBytes) VersionSlot {
   VersionSlot* next = nullptr;  // immutable after registration
 };
 
-struct VersionRegistry {
-  std::atomic<VersionSlot*> head{nullptr};
-};
-
-inline VersionRegistry& version_registry() {
-  static VersionRegistry r;
+inline Registry<VersionSlot>& version_registry() {
+  static Registry<VersionSlot> r;
   return r;
-}
-
-inline VersionSlot* acquire_version_slot() {
-  VersionRegistry& reg = version_registry();
-  for (VersionSlot* s =
-           reg.head.load(std::memory_order_acquire);  // pairs: registry-link
-       s; s = s->next) {
-    bool expected = false;
-    // relaxed: racy pre-check only; the CAS below is the synchronizing op.
-    if (!s->in_use.load(std::memory_order_relaxed) &&
-        s->in_use.compare_exchange_strong(
-            expected, true,
-            std::memory_order_acq_rel))  // pairs: ebr-rec-recycle
-      return s;
-  }
-  auto* s = new VersionSlot;
-  // relaxed: the slot is thread-private until the head CAS publishes it.
-  s->in_use.store(true, std::memory_order_relaxed);
-  VersionSlot* head =
-      reg.head.load(std::memory_order_acquire);  // pairs: registry-link
-  do {
-    s->next = head;
-  } while (!reg.head.compare_exchange_weak(
-      head, s, std::memory_order_acq_rel,
-      std::memory_order_acquire));  // pairs: registry-link
-  return s;
 }
 
 }  // namespace detail
@@ -373,15 +299,14 @@ inline VersionSlot* acquire_version_slot() {
 // entry points take `const VersionTicket&` annotated JIFFY_REQUIRES_TICKET.
 class JIFFY_CAPABILITY("version_ticket") VersionTicket {
  public:
-  VersionTicket() : slot_(detail::acquire_version_slot()) {
+  VersionTicket() : slot_(detail::version_registry().acquire()) {
     slot_->v.store(0, std::memory_order_seq_cst);  // pairs: version-pin
   }
 
   ~VersionTicket() {
     slot_->v.store(detail::kIdleVersion,
                    std::memory_order_seq_cst);  // pairs: version-pin
-    slot_->in_use.store(false,
-                        std::memory_order_release);  // pairs: ebr-rec-recycle
+    Registry<detail::VersionSlot>::release(slot_);
   }
 
   VersionTicket(const VersionTicket&) = delete;
@@ -409,10 +334,9 @@ class JIFFY_CAPABILITY("version_ticket") VersionTicket {
 // version lands above every death version a concurrent scan collected.
 inline std::uint64_t min_active_version() {
   std::uint64_t m = detail::kIdleVersion;
-  for (detail::VersionSlot* s = detail::version_registry().head.load(
-           std::memory_order_acquire);  // pairs: registry-link
-       s; s = s->next) {
-    // pairs: ebr-rec-recycle (seq_cst keeps the in_use/v reads in the same
+  for (detail::VersionSlot* s = detail::version_registry().first(); s;
+       s = s->next) {
+    // pairs: registry-recycle (seq_cst keeps the in_use/v reads in the same
     // total order as the ticket's sentinel-then-clock protocol)
     if (!s->in_use.load(std::memory_order_seq_cst)) continue;
     const std::uint64_t v =

@@ -17,14 +17,14 @@
 //     JIFFY_TRACE env): one TSC read plus one 32-byte store into a ring only
 //     the owning thread writes. No shared-cacheline traffic per event.
 //
-// Ring ownership follows the EBR ThreadRec pattern (src/ebr/ebr.h): rings
-// are registered once on a global lock-free list and recycled through an
-// in_use flag at thread exit, so the footprint is bounded by the peak thread
-// count even though the bench harness spawns fresh workers per cell. Ring
-// contents (head, events) are plain data written by the owner only;
-// hand-off to a recycling owner goes through the in_use acquire/release
-// edge, and trace_dump() must only run once tracing threads are joined (the
-// join provides its ordering) — the stress/test drivers dump after join.
+// Rings live in a Registry (common/registry.h), like the EBR thread
+// records: registered once and recycled at thread exit, so the footprint is
+// bounded by the peak thread count even though the bench harness spawns
+// fresh workers per cell. Ring contents (head, events) are plain data
+// written by the owner only; hand-off to a recycling owner goes through the
+// registry's in_use edge, and trace_dump() must only run once tracing
+// threads are joined (the join provides its ordering) — the stress/test
+// drivers dump after join.
 //
 // Binary format (little-endian, tools/traceview.py):
 //   header: char magic[8] = "JFTRACE1", u32 version, u32 event_size,
@@ -40,6 +40,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/registry.h"
 #include "common/striped_counter.h"  // kCacheLineBytes, thread_shard_id
 #include "tsc/clock.h"
 
@@ -99,7 +100,7 @@ inline std::size_t ring_capacity() {
 // on every traced event by exactly one thread; alignment keeps co-located
 // rings from false-sharing it.
 struct alignas(kCacheLineBytes) TraceRing {
-  std::atomic<bool> in_use{true};
+  std::atomic<bool> in_use{false};
   TraceRing* next = nullptr;  // immutable after registration
   std::uint64_t head = 0;     // events ever appended (owner-only, plain)
   std::vector<TraceEvent> ev;
@@ -108,11 +109,10 @@ struct alignas(kCacheLineBytes) TraceRing {
 
 struct TraceGlobal {
   // Padded apart: enabled is loaded by every hook on every engine op while
-  // head is touched only at thread birth/death and dump time.
+  // the registry head is touched only at thread birth/death and dump time.
   CachePadded<std::atomic<int>> enabled_pad;
-  CachePadded<std::atomic<TraceRing*>> head_pad;
+  Registry<TraceRing> rings;
   std::atomic<int>& enabled = enabled_pad.value;
-  std::atomic<TraceRing*>& head = head_pad.value;
 };
 
 inline TraceGlobal& global() {
@@ -120,52 +120,9 @@ inline TraceGlobal& global() {
   return g;
 }
 
-inline TraceRing* acquire_ring() {
-  TraceGlobal& g = global();
-  for (TraceRing* r =
-           g.head.load(std::memory_order_acquire);  // pairs: obs-ring-link
-       r; r = r->next) {
-    bool expected = false;
-    // relaxed: racy pre-check only; the CAS below is the synchronizing op.
-    if (!r->in_use.load(std::memory_order_relaxed) &&
-        r->in_use.compare_exchange_strong(
-            expected, true,
-            std::memory_order_acq_rel))  // pairs: obs-ring-recycle
-      return r;
-  }
-  auto* r = new TraceRing;
-  TraceRing* head = g.head.load(std::memory_order_acquire);  // pairs: obs-ring-link
-  do {
-    r->next = head;
-  } while (!g.head.compare_exchange_weak(
-      head, r, std::memory_order_acq_rel,
-      std::memory_order_acquire));  // pairs: obs-ring-link
-  return r;
-}
-
-struct RingHandle {
-  TraceRing* ring = nullptr;
-
-  TraceRing* get() {
-    if (!ring) ring = acquire_ring();
-    return ring;
-  }
-
-  ~RingHandle() {
-    if (ring)
-      ring->in_use.store(false,
-                         std::memory_order_release);  // pairs: obs-ring-recycle
-  }
-};
-
-inline TraceRing* my_ring() {
-  thread_local RingHandle handle;
-  return handle.get();
-}
-
 inline void emit(TraceKind kind, std::uint16_t tag, std::uint64_t a,
                  std::uint64_t b) {
-  TraceRing* r = my_ring();
+  TraceRing* r = global().rings.mine();
   TraceEvent& e = r->ev[r->head % r->ev.size()];
   e.ts = TscClock{}.read();
   e.a = a;
@@ -214,11 +171,10 @@ inline void trace_epoch(std::uint64_t new_epoch) {
 // set) or when nothing was traced.
 inline std::uint64_t trace_dump(const char* path) {
   using trace_detail::TraceRing;
-  TraceRing* head = trace_detail::global().head.load(
-      std::memory_order_acquire);  // pairs: obs-ring-link
+  TraceRing* head = trace_detail::global().rings.first();
   std::uint64_t total = 0;
   for (TraceRing* r = head; r; r = r->next) {
-    // pairs: obs-ring-recycle (value unused: the acquire synchronizes with
+    // pairs: registry-recycle (value unused: the acquire synchronizes with
     // an exited owner's release so the plain head/ev reads below are ordered)
     (void)r->in_use.load(std::memory_order_acquire);
     total += r->head < r->ev.size() ? r->head : r->ev.size();

@@ -51,3 +51,21 @@ if(NOT batch STREQUAL "b10_seq")
   message(FATAL_ERROR "a: cell 1 is '${batch}', want b10_seq")
 endif()
 check_cell(a 1 HAS batch NONE put)
+
+# a at 1 thread with --reps=3: the counters are the kept rep's, the window
+# its rates and latencies come from. Each put or erase descends once; 1
+# descent in 64 and 1 op in 4 are sampled, so descent_sampled x 64 is close
+# to the put class's sample count x 4. A delta over all three reps reads
+# about 3x.
+run(reps --scenario=a --threads=1 --no-batches --reps=3)
+file(READ ${OUT}_reps.json json)
+string(JSON sampled GET "${json}" cells 0 counters descent_sampled)
+string(JSON timed GET "${json}" cells 0 latency put count)
+math(EXPR descents "${sampled} * 64")
+math(EXPR ops "${timed} * 4")
+math(EXPR hi "${ops} * 3 / 2")
+math(EXPR lo "${ops} / 2")
+if(descents GREATER_EQUAL hi OR descents LESS lo)
+  message(FATAL_ERROR "reps: ${descents} descents (sampled x 64) for ${ops} "
+                      "ops (timed x 4) of the kept rep\n${json}")
+endif()

@@ -126,7 +126,7 @@ void scenario(Point p, std::uint64_t nth) {
     const std::uint64_t want = k % kBatchStride == 0 ? kNewBase + k : 1;
     CHECK_EQ(map.get(k).value(), want);
   }
-  CHECK_EQ(map.size_slow(), kSpace / 2);
+  CHECK_EQ(map.debug_stats().entry_count, kSpace / 2);
   std::printf("  ok (replayed; victim retired cleanly)\n");
 }
 
@@ -173,7 +173,7 @@ void merge_stall_scenario() {
   churn.join();
   reads.join();
   FaultPlan::uninstall();
-  CHECK_EQ(map.size_slow(), kSpace / 2);
+  CHECK_EQ(map.debug_stats().entry_count, kSpace / 2);
   std::printf("  ok\n");
 }
 
@@ -230,7 +230,7 @@ void stale_watermark_scenario() {
     const std::uint64_t want = k % kBatchStride == 0 ? kNewBase + k : 1;
     CHECK_EQ(map.get(k).value(), want);
   }
-  CHECK_EQ(map.size_slow(), kSpace / 2);
+  CHECK_EQ(map.debug_stats().entry_count, kSpace / 2);
   std::printf("  ok (stale helper saw the stamp)\n");
 }
 

@@ -1,12 +1,14 @@
 // Unit checks for the supporting subsystems: clocks, RNG + distributions,
 // key/value codecs, FixedBytes ordering, revision builder + binary search,
 // the splice rewrite and its part sink, the node block layout, the
-// thread-local block cache and the fit of revision blocks, EBR, and the CSLM
-// baseline (sequential and a short 4-thread shake).
+// thread-local block cache and the fit of revision blocks, EBR, the record
+// registries' recycling, and the CSLM baseline (sequential and a short
+// 4-thread shake).
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <initializer_list>
 #include <map>
 #include <set>
@@ -18,6 +20,7 @@
 #include "common/fixed_bytes.h"
 #include "core/jiffy.h"
 #include "ebr/ebr.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
 #include "tsc/clock.h"
 #include "workload/keyvalue.h"
@@ -451,7 +454,7 @@ void check_revision_fit() {
   b2.put(key(110), V{});
   m.apply(std::move(b2));
   expect({7, 0});
-  CHECK_EQ(m.size_slow(), std::size_t{7});
+  CHECK_EQ(m.debug_stats().entry_count, std::size_t{7});
 }
 
 void test_revision_fit() {
@@ -483,6 +486,57 @@ void test_ebr() {
     ebr::Guard b;
     ebr::retire(new Obj);
   }).join();
+}
+
+// Records linked into a registry, in use or free.
+template <class Rec>
+std::size_t registered(const Registry<Rec>& reg) {
+  std::size_t n = 0;
+  for (const Rec* r = reg.first(); r; r = r->next) ++n;
+  return n;
+}
+
+// The three registries recycle: 64 threads run one after another, each
+// taking a guard and a ticket and tracing one event, and each registry
+// grows by at most one record. Threads holding guards at once get distinct
+// records.
+void test_registry() {
+  setenv("JIFFY_TRACE_EVENTS", "64", /*overwrite=*/1);  // small rings
+  auto& threads = ebr::detail::global().threads;
+  auto& slots = ebr::detail::version_registry();
+  auto& rings = obs::trace_detail::global().rings;
+  const std::size_t threads0 = registered(threads);
+  const std::size_t slots0 = registered(slots);
+  const std::size_t rings0 = registered(rings);
+  obs::trace_enable(true);
+  for (int i = 0; i < 64; ++i) {
+    std::thread([] {
+      ebr::Guard g;
+      ebr::VersionTicket tk;
+      obs::trace_sched(0);
+    }).join();
+  }
+  obs::trace_enable(false);
+  CHECK(registered(threads) <= threads0 + 1);
+  CHECK(registered(slots) <= slots0 + 1);
+  CHECK(registered(rings) <= rings0 + 1);
+  CHECK(registered(rings) > 0);  // the events did trace
+
+  constexpr int kHolders = 4;
+  std::vector<ebr::detail::ThreadRec*> held(kHolders);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> ts;
+  for (int i = 0; i < kHolders; ++i) {
+    ts.emplace_back([&, i] {
+      ebr::Guard g;
+      held[static_cast<std::size_t>(i)] = ebr::detail::my_rec();
+      arrived.fetch_add(1);
+      while (arrived.load() < kHolders) std::this_thread::yield();
+    });
+  }
+  for (auto& t : ts) t.join();
+  CHECK_EQ(std::set<ebr::detail::ThreadRec*>(held.begin(), held.end()).size(),
+           std::size_t{kHolders});
 }
 
 template <class M>
@@ -563,6 +617,7 @@ int main() {
   test_block_cache();
   test_revision_fit();
   test_ebr();
+  test_registry();
   test_cslm();
   std::puts("test_components OK");
   return 0;

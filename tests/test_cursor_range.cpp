@@ -346,9 +346,7 @@ void test_backward_snapshot_stability() {
 // Version tickets in use right now, over every thread's registrations.
 std::size_t live_tickets() {
   std::size_t n = 0;
-  for (auto* s = ebr::detail::version_registry().head.load(
-           std::memory_order_acquire);
-       s; s = s->next)
+  for (auto* s = ebr::detail::version_registry().first(); s; s = s->next)
     n += s->in_use.load(std::memory_order_acquire) ? 1 : 0;
   return n;
 }

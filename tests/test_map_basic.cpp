@@ -53,7 +53,7 @@ void test_crud(const JiffyConfig& cfg) {
       }
     }
   }
-  CHECK_EQ(m.size_slow(), oracle.size());
+  CHECK_EQ(m.debug_stats().entry_count, oracle.size());
 
   // Full ordered scan matches the oracle exactly.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
@@ -101,7 +101,7 @@ void test_fixed_bytes_shape() {
   const std::uint64_t space = 4'000;
   for (std::uint64_t i = 0; i < 2'000; ++i)
     m.put(KeyCodec<Key16>::encode(i, space), ValueCodec<Value100>::make(i, 7));
-  CHECK_EQ(m.size_slow(), std::size_t{2'000});
+  CHECK_EQ(m.debug_stats().entry_count, std::size_t{2'000});
   for (std::uint64_t i = 0; i < 2'000; ++i) {
     auto got = m.get(KeyCodec<Key16>::encode(i, space));
     CHECK(got.has_value());

@@ -83,7 +83,7 @@ void manual_purge_progression() {
     const std::uint64_t want = k % 8 == 0 ? k : 3000 + k;
     CHECK_EQ(map.get(k).value(), want);
   }
-  CHECK_EQ(map.size_slow(), kN);
+  CHECK_EQ(map.debug_stats().entry_count, kN);
   std::printf("manual purge progression ok\n");
 }
 
@@ -154,7 +154,7 @@ void auto_purge_bounds_growth() {
   for (int i = 0; i < 6; ++i) map.purge();
   stats = map.debug_stats();
   CHECK_EQ(stats.tombstone_count, 0u);
-  CHECK_EQ(map.size_slow(), kN);
+  CHECK_EQ(map.debug_stats().entry_count, kN);
   std::printf("auto-purge bound ok\n");
 }
 

@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
   // sharded counter's documented contract is "off by at most the ops in
   // flight during the aggregate sweep". Here at most n_mut ops are in
   // flight, each moving the count by <= 16 (the largest batch), but both
-  // approx_size() and the size_slow() walk take time — mutations landing
+  // approx_size() and the entry_count walk take time — mutations landing
   // between the two measurements widen the apparent gap — so assert a
   // deliberately generous envelope that still catches systematic drift
   // (lost updates would diverge without bound under this much churn).
@@ -226,7 +226,8 @@ int main(int argc, char** argv) {
   while (std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     const auto approx = static_cast<std::int64_t>(map.approx_size());
-    const auto slow = static_cast<std::int64_t>(map.size_slow());
+    const auto slow =
+        static_cast<std::int64_t>(map.debug_stats().entry_count);
     const std::int64_t gap = approx > slow ? approx - slow : slow - approx;
     if (gap > kSizeSlack) {
       std::fprintf(stderr,
@@ -242,7 +243,7 @@ int main(int argc, char** argv) {
 
   // Quiescent: every delta has landed in its shard and the sweep is exact.
   CHECK(size_checks > 0);
-  CHECK_EQ(map.approx_size(), map.size_slow());
+  CHECK_EQ(map.approx_size(), map.debug_stats().entry_count);
 
   // Quiescent pass: no mutators, every tracked key must now be exact.
   const std::uint64_t final_failed =
